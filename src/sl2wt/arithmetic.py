@@ -4,7 +4,8 @@ An admissible level is k = -2 + u/v with coprime u, v >= 2 (non-integral
 levels only).  Everything downstream is computed exactly: rational numbers
 are ``fractions.Fraction`` and generic weight parameters live in the rank-2
 space Q + Q*w, where w is a fixed formal symbol treated as irrational and
-not rationally related to any other constant in play.
+not rationally related to any other constant in play.  The Kac-label check
+and the Grothendieck-group class that both categories use live here too.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Dict, Hashable, Optional, Union
 
 Rational = Union[int, Fraction]
 
@@ -31,6 +32,13 @@ def _frac(x: Rational) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected an exact rational, got {x!r}")
+
+
+def strict_int(x, name: str) -> int:
+    """x itself if it is an int and not a bool; validates label input."""
+    if type(x) is not int:
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -119,6 +127,8 @@ class Weight:
     def from_json(cls, data: dict) -> "Weight":
         an, ad = data["a"]
         bn, bd = data["b"]
+        if any(type(n) is not int for n in (an, ad, bn, bd)) or 0 in (ad, bd):
+            raise ValueError(f"weight components must be integers over nonzero denominators: {data!r}")
         return cls(Fraction(an, ad), Fraction(bn, bd))
 
 
@@ -208,10 +218,20 @@ class KacData:
     h: Optional[Fraction]  # defined only for 1 <= s <= v-1
 
 
+def check_rs(level: AdmissibleLevel, r: int, s: int, s_min: int = 1, s_max: Optional[int] = None) -> None:
+    """Validate a Kac label: integers r, s with 1 <= r <= u-1 and s_min <= s <= s_max,
+    where s_max defaults to v-1 (the Kac table)."""
+    if type(r) is not int or type(s) is not int:
+        raise ValueError(f"Kac label (r, s) = ({r!r}, {s!r}) must be integers")
+    s_max = level.v - 1 if s_max is None else s_max
+    if not (1 <= r <= level.u - 1 and s_min <= s <= s_max):
+        bounds = f"[1,{level.u - 1}] x [{s_min},{s_max}]"
+        raise OutOfKacTable(f"(r, s) = ({r}, {s}) outside {bounds} at level {level}")
+
+
 def kac_data(level: AdmissibleLevel, r: int, s: int) -> KacData:
     """All Kac-table quantities at (r, s), for 1 <= r <= u-1 and 0 <= s <= v."""
-    if not (1 <= r <= level.u - 1 and 0 <= s <= level.v):
-        raise OutOfKacTable(f"(r, s) = ({r}, {s}) outside [1,{level.u - 1}] x [0,{level.v}]")
+    check_rs(level, r, s, 0, level.v)
     h = h_rs(level, r, s) if 1 <= s <= level.v - 1 else None
     return KacData(r, s, lam_rs(level, r, s), delta_rs(level, r, s), nu_rs(level, r, s), h)
 
@@ -223,11 +243,101 @@ def pi_conf_weight(level: AdmissibleLevel, flow: int, lam) -> Weight:
 
 def conf_wt_gap(level: AdmissibleLevel, r: int, s: int) -> Fraction:
     """Delta_{r,s+1} - Delta_{r,s-1}; non-integral throughout the Kac table."""
-    if not (1 <= r <= level.u - 1 and 1 <= s <= level.v - 1):
-        raise OutOfKacTable(f"(r, s) = ({r}, {s}) outside the Kac table")
+    check_rs(level, r, s)
     return delta_rs(level, r, s + 1) - delta_rs(level, r, s - 1)
 
 
 def ks_dual_level(level: AdmissibleLevel) -> Fraction:
     """The level l of the Kazama-Suzuki dual, defined by (l+1)(k+2) = 1."""
     return 1 / (level.k + 2) - 1
+
+
+# -- Grothendieck groups of both categories --
+
+
+class Groth:
+    """Finitely supported Z-combination of hashable basis labels.
+
+    ``fuse`` maps two basis labels to the class of their product and makes
+    ``*`` the ring product; without it the class lives in a Z-module only.
+    """
+
+    __slots__ = ("coeffs", "fuse")
+
+    def __init__(self, coeffs: Optional[Dict[Hashable, int]] = None, fuse: Optional[Callable] = None):
+        self.coeffs = {x: n for x, n in (coeffs or {}).items() if n != 0}
+        self.fuse = fuse
+
+    @classmethod
+    def of(cls, *labels: Hashable, fuse=None) -> "Groth":
+        out: Dict[Hashable, int] = {}
+        for x in labels:
+            out[x] = out.get(x, 0) + 1
+        return cls(out, fuse)
+
+    def multiplicity(self, label) -> int:
+        return self.coeffs.get(label, 0)
+
+    def support(self):
+        return set(self.coeffs)
+
+    def items(self):
+        return self.coeffs.items()
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @property
+    def is_effective(self) -> bool:
+        return all(n > 0 for n in self.coeffs.values())
+
+    def __add__(self, other: "Groth") -> "Groth":
+        out = dict(self.coeffs)
+        for x, n in other.coeffs.items():
+            out[x] = out.get(x, 0) + n
+        return Groth(out, self.fuse)
+
+    def __sub__(self, other: "Groth") -> "Groth":
+        return self + -other
+
+    def __neg__(self) -> "Groth":
+        return -1 * self
+
+    def __rmul__(self, n: int) -> "Groth":
+        if not isinstance(n, int):
+            return NotImplemented
+        return Groth({x: n * c for x, c in self.coeffs.items()}, self.fuse)
+
+    def __mul__(self, other: "Groth") -> "Groth":
+        if isinstance(other, int):
+            return self.__rmul__(other)
+        if self.fuse is None:
+            return NotImplemented
+        total = Groth(fuse=self.fuse)
+        for x, n in self.coeffs.items():
+            for y, m in other.coeffs.items():
+                total = total + (n * m) * self.fuse(x, y)
+        return total
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Groth) and self.coeffs == other.coeffs
+
+    def map_labels(self, fn) -> "Groth":
+        out: Dict[Hashable, int] = {}
+        for x, n in self.coeffs.items():
+            y = fn(x)
+            out[y] = out.get(y, 0) + n
+        return Groth(out, self.fuse)
+
+    def sorted_items(self):
+        return sorted(self.coeffs.items(), key=lambda kv: kv[0].sort_key())
+
+    def __str__(self) -> str:
+        if not self.coeffs:
+            return "0"
+        return " + ".join(
+            (f"{n}*{x}" if n != 1 else str(x)) for x, n in self.sorted_items()
+        )
+
+    __repr__ = __str__

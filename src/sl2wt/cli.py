@@ -37,17 +37,20 @@ def parse_weight(text: str) -> Weight:
         raise ValueError("empty weight")
     a = Fraction(0)
     b = Fraction(0)
-    for term in re.findall(r"[+-]?[^+-]+", s):
-        if term.endswith("w"):
-            coef = term[:-1].rstrip("*")
-            if coef in ("", "+"):
-                b += 1
-            elif coef == "-":
-                b -= 1
+    try:
+        for term in re.findall(r"[+-]?[^+-]+", s):
+            if term.endswith("w"):
+                coef = term[:-1].rstrip("*")
+                if coef in ("", "+"):
+                    b += 1
+                elif coef == "-":
+                    b -= 1
+                else:
+                    b += Fraction(coef)
             else:
-                b += Fraction(coef)
-        else:
-            a += Fraction(term)
+                a += Fraction(term)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in weight {text!r}") from None
     return Weight(a, b)
 
 
@@ -63,15 +66,15 @@ def parse_clabel(level, text: str) -> wc.SimpleCLabel:
     if not m:
         raise ValueError(f"cannot parse C-label {text!r}")
     kind, flow = m.group("kind"), int(m.group("flow") or 0)
-    args = m.group("args").split(",") if kind != "E" else None
-    if kind == "L":
-        return wc.lr0(level, int(args[0]), flow)
-    if kind in ("D+", "D-"):
-        r, s_ = int(args[0]), int(args[1])
-        return (wc.dplus if kind == "D+" else wc.dminus)(level, r, s_, flow)
-    lam_text, rs = m.group("args").split(";")
-    r, s_ = (int(x) for x in rs.split(","))
-    return wc.typical(level, r, s_, parse_weight(lam_text), flow)
+    if kind == "E":
+        lam_text, rs = m.group("args").split(";")
+        r, s_ = (int(x) for x in rs.split(","))
+        return wc.typical(level, r, s_, parse_weight(lam_text), flow)
+    # L(r) is the alias D+(r,0)
+    args = [int(x) for x in m.group("args").split(",")] + ([0] if kind == "L" else [])
+    if len(args) != 2:
+        raise ValueError(f"cannot parse C-label {text!r}: wrong number of arguments")
+    return (wc.dminus if kind == "D-" else wc.dplus)(level, *args, flow)
 
 
 def parse_alabel(level, text: str) -> lc.SimpleALabel:

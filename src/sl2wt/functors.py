@@ -80,7 +80,7 @@ def frobenius_dim(level: AdmissibleLevel, x: wc.SimpleCLabel, y: lc.SimpleALabel
 
 def groth_F(level: AdmissibleLevel, x: wc.GrothC) -> lc.GrothA:
     """Induction on Grothendieck groups, basis label by basis label."""
-    total = lc.GrothA(level)
+    total = lc.a_class(level)
     for lbl, n in x.items():
         total = total + n * lc.comp_factors_a(level, induce_simple(level, lbl))
     return total

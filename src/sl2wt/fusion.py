@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from .arithmetic import AdmissibleLevel, OutOfKacTable, lam_rs
+from .arithmetic import AdmissibleLevel, check_rs, lam_rs
 from . import weight_cat as wc
 from . import local_cat as lc
 from .functors import groth_F, restrict_simple, groth_restrict, induce_simple, induce_vacuum
@@ -37,11 +37,9 @@ def fuse_D11plus_Dminus(level: AdmissibleLevel, r: int, s: int) -> wc.CObject:
     2 <= s <= v-2: D-(r,s-1) (+) E(-lambda_{r,s-1}; r,s+1)
     s = v-1:       D-(r,v-2)
     """
-    u, v = level.u, level.v
-    if not (1 <= r <= u - 1 and 1 <= s <= v - 1):
-        raise OutOfKacTable(f"(r, s) = ({r}, {s}) outside the Kac table of {level}")
+    check_rs(level, r, s)
     parts: List[wc.CObject] = [wc.Simple(wc.dminus(level, r, s - 1))]
-    if s <= v - 2:
+    if s <= level.v - 2:
         parts.append(
             wc.Simple(wc.typical(level, r, s + 1, -lam_rs(level, r, s - 1)))
         )
@@ -112,7 +110,7 @@ def a_tensor_restriction(level: AdmissibleLevel, y: lc.SimpleALabel) -> wc.Groth
 def a_tensor_restriction_via_ring(level: AdmissibleLevel, y: lc.SimpleALabel) -> wc.GrothC:
     """Same class computed through the extended fusion ring: restrict [N]*[y]."""
     n_class = lc.comp_factors_a(level, induce_vacuum(level))
-    return groth_restrict(level, n_class * lc.GrothA.of(level, y))
+    return groth_restrict(level, n_class * lc.a_class(level, y))
 
 
 # ---------------------------------------------------------------------------

@@ -12,16 +12,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from functools import partial
+from typing import List, Tuple, Union
 
 from .arithmetic import (
     AdmissibleLevel,
-    OutOfKacTable,
+    Groth,
     Weight,
     as_weight,
+    check_rs,
     h_rs,
     nu_rs,
     pi_conf_weight,
+    strict_int,
 )
 
 
@@ -41,13 +44,8 @@ class SimpleALabel:
         return f"M({self.r},{self.s})xPi({self.flow};{self.lam})"
 
 
-def _check_rs(level: AdmissibleLevel, r: int, s: int) -> None:
-    if not (1 <= r <= level.u - 1 and 1 <= s <= level.v - 1):
-        raise OutOfKacTable(f"(r, s) = ({r}, {s}) outside the Kac table of {level}")
-
-
 def simple_a(level: AdmissibleLevel, r: int, s: int, flow: int, lam) -> SimpleALabel:
-    _check_rs(level, r, s)
+    check_rs(level, r, s)
     r, s = min((r, s), (level.u - r, level.v - s))
     return SimpleALabel(r, s, flow, as_weight(lam).reduce(1))
 
@@ -67,8 +65,8 @@ def vir_fuse(level: AdmissibleLevel, r: int, s: int, rp: int, sp: int) -> List[T
     r'' runs from |r-r'|+1 to min(r+r'-1, 2u-r-r'-1) in steps of 2, and s''
     analogously with v.  Multiplicity-free.
     """
-    _check_rs(level, r, s)
-    _check_rs(level, rp, sp)
+    check_rs(level, r, s)
+    check_rs(level, rp, sp)
     rr = range(abs(r - rp) + 1, min(r + rp - 1, 2 * level.u - r - rp - 1) + 1, 2)
     ss = range(abs(s - sp) + 1, min(s + sp - 1, 2 * level.v - s - sp - 1) + 1, 2)
     return [(a, b) for a in rr for b in ss]
@@ -79,103 +77,22 @@ def pi_fuse(flow: int, lam, flowp: int, lamp) -> Tuple[int, Weight]:
     return flow + flowp, (as_weight(lam) + as_weight(lamp)).reduce(1)
 
 
-def a_fuse(level: AdmissibleLevel, x: SimpleALabel, y: SimpleALabel) -> "GrothA":
+def a_fuse(level: AdmissibleLevel, x: SimpleALabel, y: SimpleALabel) -> Groth:
     """Fusion of simples: Virasoro channels tensored with the Pi product."""
     flow, lam = pi_fuse(x.flow, x.lam, y.flow, y.lam)
-    out: Dict[SimpleALabel, int] = {}
-    for rr, ss in vir_fuse(level, x.r, x.s, y.r, y.s):
-        z = simple_a(level, rr, ss, flow, lam)
-        out[z] = out.get(z, 0) + 1
-    return GrothA(level, out)
+    channels = vir_fuse(level, x.r, x.s, y.r, y.s)
+    return a_class(level, *(simple_a(level, rr, ss, flow, lam) for rr, ss in channels))
 
 
 # ---------------------------------------------------------------------------
-# Grothendieck ring
+# Grothendieck ring: Z-combinations of SimpleALabel with the fusion product.
+
+GrothA = Groth
 
 
-class GrothA:
-    """Finitely supported Z-combination of SimpleALabel with fusion product."""
-
-    __slots__ = ("level", "coeffs")
-
-    def __init__(self, level: AdmissibleLevel, coeffs: Optional[Dict[SimpleALabel, int]] = None):
-        self.level = level
-        self.coeffs = {x: n for x, n in (coeffs or {}).items() if n != 0}
-
-    @classmethod
-    def of(cls, level: AdmissibleLevel, *labels: SimpleALabel) -> "GrothA":
-        out: Dict[SimpleALabel, int] = {}
-        for x in labels:
-            out[x] = out.get(x, 0) + 1
-        return cls(level, out)
-
-    def multiplicity(self, label: SimpleALabel) -> int:
-        return self.coeffs.get(label, 0)
-
-    def support(self):
-        return set(self.coeffs)
-
-    def items(self):
-        return self.coeffs.items()
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def is_effective(self) -> bool:
-        return all(n > 0 for n in self.coeffs.values())
-
-    def __add__(self, other: "GrothA") -> "GrothA":
-        out = dict(self.coeffs)
-        for x, n in other.coeffs.items():
-            out[x] = out.get(x, 0) + n
-        return GrothA(self.level, out)
-
-    def __sub__(self, other: "GrothA") -> "GrothA":
-        out = dict(self.coeffs)
-        for x, n in other.coeffs.items():
-            out[x] = out.get(x, 0) - n
-        return GrothA(self.level, out)
-
-    def __neg__(self) -> "GrothA":
-        return GrothA(self.level, {x: -n for x, n in self.coeffs.items()})
-
-    def __rmul__(self, n: int) -> "GrothA":
-        if not isinstance(n, int):
-            return NotImplemented
-        return GrothA(self.level, {x: n * c for x, c in self.coeffs.items()})
-
-    def __mul__(self, other: "GrothA") -> "GrothA":
-        if isinstance(other, int):
-            return self.__rmul__(other)
-        total = GrothA(self.level)
-        for x, n in self.coeffs.items():
-            for y, m in other.coeffs.items():
-                total = total + (n * m) * a_fuse(self.level, x, y)
-        return total
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GrothA) and self.coeffs == other.coeffs
-
-    def map_labels(self, fn) -> "GrothA":
-        out: Dict[SimpleALabel, int] = {}
-        for x, n in self.coeffs.items():
-            y = fn(x)
-            out[y] = out.get(y, 0) + n
-        return GrothA(self.level, out)
-
-    def sorted_items(self):
-        return sorted(self.coeffs.items(), key=lambda kv: kv[0].sort_key())
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        return " + ".join(
-            (f"{n}*{x}" if n != 1 else str(x)) for x, n in self.sorted_items()
-        )
-
-    __repr__ = __str__
+def a_class(level: AdmissibleLevel, *labels: SimpleALabel) -> Groth:
+    """The class of the given simples in the extended fusion ring."""
+    return Groth.of(*labels, fuse=partial(a_fuse, level))
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +192,7 @@ AObject = Union[ASimple, RObject, MObject, ADirectSum]
 
 
 def build_R(level: AdmissibleLevel, r: int, s: int, lam, flow: int) -> RObject:
-    _check_rs(level, r, s)
+    check_rs(level, r, s)
     w = as_weight(lam).reduce(1)
     half_t = Fraction(level.t, 2)
     top = (simple_a(level, r, s, flow, w),)
@@ -302,8 +219,7 @@ def build_M(level: AdmissibleLevel, r: int, s: int, flow: int) -> Union[MObject,
     boundary cases are simple: M[r,1] = M(r,1) x Pi_flow(nu_{r,1}) and
     M[r,v] = M(r,v-1) x Pi_{flow+1}(nu_{r,v+1}) = M(u-r,1) x Pi_{flow+1}(nu_{u-r,1}).
     """
-    if not (1 <= r <= level.u - 1 and 1 <= s <= level.v):
-        raise OutOfKacTable(f"(r, s) = ({r}, {s}) outside [1,{level.u - 1}] x [1,{level.v}]")
+    check_rs(level, r, s, 1, level.v)
     if s == 1:
         return ASimple(simple_a(level, r, 1, flow, nu_rs(level, r, 1)))
     if s == level.v:
@@ -334,13 +250,9 @@ def rigid_dual(level: AdmissibleLevel, x: Union[AObject, SimpleALabel]) -> Union
 
 def comp_factors_a(level: AdmissibleLevel, x: AObject) -> GrothA:
     if isinstance(x, (ASimple, RObject, MObject)):
-        out: Dict[SimpleALabel, int] = {}
-        for layer in x.layers:
-            for lbl in layer:
-                out[lbl] = out.get(lbl, 0) + 1
-        return GrothA(level, out)
+        return a_class(level, *(lbl for layer in x.layers for lbl in layer))
     if isinstance(x, ADirectSum):
-        total = GrothA(level)
+        total = a_class(level)
         for p in x.parts:
             total = total + comp_factors_a(level, p)
         return total
@@ -359,7 +271,8 @@ def label_to_json(x: SimpleALabel) -> dict:
 def label_from_json(level: AdmissibleLevel, data: dict) -> SimpleALabel:
     if data.get("cat") != "A" or "tag" in data:
         raise ValueError(f"not a simple A-label: {data!r}")
-    return simple_a(level, data["r"], data["s"], int(data.get("flow", 0)), Weight.from_json(data["lam"]))
+    flow = strict_int(data.get("flow", 0), "flow")
+    return simple_a(level, data["r"], data["s"], flow, Weight.from_json(data["lam"]))
 
 
 def aobject_to_json(x: AObject) -> dict:
@@ -380,10 +293,11 @@ def aobject_from_json(level: AdmissibleLevel, data: dict) -> AObject:
     tag = data.get("tag")
     if tag is None:
         return ASimple(label_from_json(level, data))
+    flow = strict_int(data.get("flow", 0), "flow")
     if tag == "R":
-        return build_R(level, data["r"], data["s"], Weight.from_json(data["lam"]), int(data.get("flow", 0)))
+        return build_R(level, data["r"], data["s"], Weight.from_json(data["lam"]), flow)
     if tag == "M":
-        return build_M(level, data["r"], data["s"], int(data.get("flow", 0)))
+        return build_M(level, data["r"], data["s"], flow)
     if tag == "sum":
         return ADirectSum(tuple(aobject_from_json(level, p) for p in data["parts"]))
     raise ValueError(f"unknown A-object tag {tag!r}")

@@ -33,6 +33,10 @@ class SampleConfig:
     flows: Tuple[int, ...] = (-2, -1, 0, 1, 2)
     lambda_samples: Tuple[Weight, ...] = (wt(0), wt(Fraction(1, 2)), OMEGA)
 
+    def __post_init__(self):
+        if not self.flows:
+            raise ValueError("no flows to sample: a pipeline run would check nothing")
+
     def with_omega(self) -> "SampleConfig":
         """Generic typicality must always be exercised, so w is forced in."""
         if OMEGA in self.lambda_samples:
@@ -218,7 +222,7 @@ def _step1(level: AdmissibleLevel) -> Step1:
     factors_class = lc.comp_factors_a(level, fn.induce_vacuum(level))
     factors = tuple(sorted(factors_class.support(), key=lambda x: x.sort_key()))
     all_local = all(lc.is_local_flow(x.flow) for x in factors)
-    expected = lc.GrothA.of(level, *expected_vacuum_factors(level))
+    expected = lc.a_class(level, *expected_vacuum_factors(level))
     return Step1(factors, all_local, factors_class == expected)
 
 

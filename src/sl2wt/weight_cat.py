@@ -11,14 +11,16 @@ construction, so label equality is isomorphism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple, Union
+from typing import Iterable, Optional, Tuple, Union
 
 from .arithmetic import (
     AdmissibleLevel,
-    OutOfKacTable,
+    Groth,
     Weight,
     as_weight,
+    check_rs,
     lam_rs,
+    strict_int,
 )
 
 
@@ -49,14 +51,9 @@ class SimpleCLabel:
         return f"E({self.lam};{self.r},{self.s})@{self.flow}"
 
 
-def _check_rs(level: AdmissibleLevel, r: int, s: int) -> None:
-    if not (1 <= r <= level.u - 1 and 1 <= s <= level.v - 1):
-        raise OutOfKacTable(f"(r, s) = ({r}, {s}) outside the Kac table of {level}")
-
-
 def atypical(level: AdmissibleLevel, r: int, s: int, flow: int = 0) -> SimpleCLabel:
     """sigma^flow(D+_{r,s}), already canonical."""
-    _check_rs(level, r, s)
+    check_rs(level, r, s)
     return SimpleCLabel(flow, r, s, None)
 
 
@@ -67,7 +64,7 @@ def typical(level: AdmissibleLevel, r: int, s: int, lam, flow: int = 0) -> Simpl
     smaller of (r, s) and (u-r, v-s).  Raises NotSimple on the reducible
     cosets lam = +-lambda_{r,s} mod 2Z.
     """
-    _check_rs(level, r, s)
+    check_rs(level, r, s)
     w = as_weight(lam).reduce(2)
     for sign in (1, -1):
         if not (w - sign * lam_rs(level, r, s)).reduce(2):
@@ -80,13 +77,13 @@ def typical(level: AdmissibleLevel, r: int, s: int, lam, flow: int = 0) -> Simpl
 
 def lr0(level: AdmissibleLevel, r: int, flow: int = 0) -> SimpleCLabel:
     """sigma^flow(L_{r,0}) rewritten as sigma^(flow-1)(D+_{u-r,v-1})."""
-    if not 1 <= r <= level.u - 1:
-        raise OutOfKacTable(f"r = {r} outside [1, {level.u - 1}]")
+    check_rs(level, r, 0, 0, 0)
     return SimpleCLabel(flow - 1, level.u - r, level.v - 1, None)
 
 
 def dplus(level: AdmissibleLevel, r: int, s: int, flow: int = 0) -> SimpleCLabel:
     """sigma^flow(D+_{r,s}) for 0 <= s <= v-1; s = 0 is the L_{r,0} alias."""
+    check_rs(level, r, s, 0)
     if s == 0:
         return lr0(level, r, flow)
     return atypical(level, r, s, flow)
@@ -98,9 +95,9 @@ def dminus(level: AdmissibleLevel, r: int, s: int, flow: int = 0) -> SimpleCLabe
     D-_{r,s} = sigma^(-1)(D+_{u-r,v-s-1}) for s <= v-2 and
     D-_{r,v-1} = sigma^(-2)(D+_{r,v-1}); s = 0 is again L_{r,0}.
     """
+    check_rs(level, r, s, 0)
     if s == 0:
         return lr0(level, r, flow)
-    _check_rs(level, r, s)
     if s <= level.v - 2:
         return SimpleCLabel(flow - 1, level.u - r, level.v - s - 1, None)
     return SimpleCLabel(flow - 2, r, level.v - 1, None)
@@ -214,80 +211,10 @@ def spectral_flow(x, m: int):
 
 
 # ---------------------------------------------------------------------------
-# Grothendieck group of the weight category
+# Grothendieck group of the weight category: Z-combinations of SimpleCLabel,
+# without a ring product.
 
-
-class GrothC:
-    """Finitely supported Z-combination of canonical SimpleCLabel."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Optional[Dict[SimpleCLabel, int]] = None):
-        self.coeffs = {x: n for x, n in (coeffs or {}).items() if n != 0}
-
-    @classmethod
-    def of(cls, *labels: SimpleCLabel) -> "GrothC":
-        out: Dict[SimpleCLabel, int] = {}
-        for x in labels:
-            out[x] = out.get(x, 0) + 1
-        return cls(out)
-
-    def multiplicity(self, label: SimpleCLabel) -> int:
-        return self.coeffs.get(label, 0)
-
-    def support(self):
-        return set(self.coeffs)
-
-    def items(self):
-        return self.coeffs.items()
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def is_effective(self) -> bool:
-        return all(n > 0 for n in self.coeffs.values())
-
-    def __add__(self, other: "GrothC") -> "GrothC":
-        out = dict(self.coeffs)
-        for x, n in other.coeffs.items():
-            out[x] = out.get(x, 0) + n
-        return GrothC(out)
-
-    def __sub__(self, other: "GrothC") -> "GrothC":
-        out = dict(self.coeffs)
-        for x, n in other.coeffs.items():
-            out[x] = out.get(x, 0) - n
-        return GrothC(out)
-
-    def __neg__(self) -> "GrothC":
-        return GrothC({x: -n for x, n in self.coeffs.items()})
-
-    def __rmul__(self, n: int) -> "GrothC":
-        return GrothC({x: n * c for x, c in self.coeffs.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GrothC) and self.coeffs == other.coeffs
-
-    def map_labels(self, fn) -> "GrothC":
-        out: Dict[SimpleCLabel, int] = {}
-        for x, n in self.coeffs.items():
-            y = fn(x)
-            out[y] = out.get(y, 0) + n
-        return GrothC(out)
-
-    def sorted_items(self):
-        return sorted(self.coeffs.items(), key=lambda kv: kv[0].sort_key())
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        return " + ".join(
-            (f"{n}*{x}" if n != 1 else str(x)) for x, n in self.sorted_items()
-        )
-
-    __repr__ = __str__
+GrothC = Groth
 
 
 # -- JSON label schema --
@@ -307,7 +234,7 @@ def label_to_json(x: SimpleCLabel) -> dict:
 def label_from_json(level: AdmissibleLevel, data: dict) -> SimpleCLabel:
     if data.get("cat") != "C":
         raise ValueError(f"not a C-label: {data!r}")
-    flow = int(data.get("flow", 0))
+    flow = strict_int(data.get("flow", 0), "flow")
     base = data["base"]
     kind = base["type"]
     if kind == "D+":
@@ -345,19 +272,19 @@ def comp_factors(level: AdmissibleLevel, x: CObject) -> GrothC:
     if isinstance(x, Simple):
         return GrothC.of(x.label)
     if isinstance(x, Eminus):
-        _check_rs(level, x.r, x.s)
+        check_rs(level, x.r, x.s)
         return GrothC.of(
             dminus(level, x.r, x.s, x.flow),
             atypical(level, level.u - x.r, level.v - x.s, x.flow),
         )
     if isinstance(x, Eplus):
-        _check_rs(level, x.r, x.s)
+        check_rs(level, x.r, x.s)
         return GrothC.of(
             atypical(level, x.r, x.s, x.flow),
             dminus(level, level.u - x.r, level.v - x.s, x.flow),
         )
     if isinstance(x, Projective):
-        _check_rs(level, x.r, x.s)
+        check_rs(level, x.r, x.s)
         u, v = level.u, level.v
         if x.s <= v - 2:
             sub = Eminus(u - x.r, v - x.s - 1, x.flow + 1)

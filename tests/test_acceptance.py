@@ -93,7 +93,7 @@ def test_criterion_03_groth_a_ring():
         r = rng(1000 + level.u * 10 + level.v)
 
         def sample():
-            return lc.GrothA.of(
+            return lc.a_class(
                 level,
                 lc.simple_a(
                     level,
@@ -104,7 +104,7 @@ def test_criterion_03_groth_a_ring():
                 ),
             )
 
-        unit = lc.GrothA.of(level, lc.unit_a(level))
+        unit = lc.a_class(level, lc.unit_a(level))
         for _ in range(500):
             x, y, z = sample(), sample(), sample()
             if x * y != y * x:
@@ -113,8 +113,8 @@ def test_criterion_03_groth_a_ring():
                 failures.append(f"associativity fails at {level}")
         for _ in range(50):
             flow, lam = r.randint(-6, 6), random_weight(r)
-            a = lc.GrothA.of(level, lc.simple_a(level, 1, 1, flow, lam))
-            b = lc.GrothA.of(level, lc.simple_a(level, 1, 1, -flow, -lam))
+            a = lc.a_class(level, lc.simple_a(level, 1, 1, flow, lam))
+            b = lc.a_class(level, lc.simple_a(level, 1, 1, -flow, -lam))
             if a * b != unit:
                 failures.append(f"simple current not invertible at {level}: flow={flow}")
     ok = not failures
@@ -125,13 +125,13 @@ def test_criterion_04_vacuum_induction_structure():
     failures = []
     lv = admissible_level(3, 2)
     n = fn.induce_vacuum(lv)
-    expect = lc.GrothA.of(lv, lc.unit_a(lv), lc.simple_a(lv, 1, 1, 2, lv.t))
+    expect = lc.a_class(lv, lc.unit_a(lv), lc.simple_a(lv, 1, 1, 2, lv.t))
     if lc.comp_factors_a(lv, n) != expect or len(n.parts) != 2:
         failures.append("N structure at 3/2")
     for u, v in ((2, 3), (3, 4), (5, 3)):
         lv = admissible_level(u, v)
         n = fn.induce_vacuum(lv)
-        expect = lc.GrothA.of(
+        expect = lc.a_class(
             lv,
             lc.unit_a(lv),
             lc.simple_a(lv, 1, 2, 1, -lv.t / 2),

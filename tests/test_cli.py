@@ -65,6 +65,40 @@ def test_bad_label_exit_code(capsys):
     assert code == 2
 
 
+def _a_json(**fields):
+    label = {"cat": "A", "r": 1, "s": 1, "flow": 1, "lam": {"a": [1, 3], "b": [0, 1]}}
+    return json.dumps({**label, **fields})
+
+
+def _c_json(flow=0, **base):
+    return json.dumps({"cat": "C", "flow": flow, "base": {"type": "D+", "r": 1, "s": 1, **base}})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fuse", "--level", "5/3", "--lhs", "E(1/0;1,1)", "--rhs", "D+(1,1)"),
+        ("fuse", "--level", "5/3", "--lhs", "D+(1)@0", "--rhs", "D+(1,1)"),
+        ("oracle", "relaxed", "--lam", "1/0", "--casimir", "0"),
+        ("restrict", "--level", "5/3", "--label", _a_json(lam={"a": [1, 0], "b": [0, 1]})),
+        ("restrict", "--level", "5/3", "--label", _a_json(r=True)),
+        ("restrict", "--level", "5/3", "--label", _a_json(r="1")),
+        ("restrict", "--level", "5/3", "--label", _a_json(r=1.0)),
+        ("restrict", "--level", "5/3", "--label", _a_json(flow=1.5)),
+        ("induce", "--level", "5/3", "--label", _c_json(r=True)),
+        ("induce", "--level", "5/3", "--label", _c_json(s=False)),
+        ("induce", "--level", "5/3", "--label", _c_json(flow=1.5)),
+        ("dual", "--level", "5/3", "--label", _a_json(tag="M", s=2, flow=1.5)),
+        ("pipeline", "--level", "5/3", "--flows=5..1"),
+    ],
+)
+def test_invalid_input_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "verdict" not in out
+
+
 def test_pipeline_command(capsys):
     code, out, _ = run(capsys, "pipeline", "--level", "3/2")
     assert code == 0

@@ -1,5 +1,7 @@
 from fractions import Fraction as F
 
+import pytest
+
 from sl2wt import OMEGA, admissible_level, wt
 from sl2wt.arithmetic import nu_rs
 from sl2wt import weight_cat as wc
@@ -74,6 +76,32 @@ def test_tau_injective(level):
         assert len(images) == len(labels)
 
 
+@pytest.mark.parametrize(
+    "uv", [(3, 2), (5, 3), (7, 4), (11, 6), (13, 8), (5, 2), (7, 3)], ids=lambda uv: f"{uv[0]}-{uv[1]}"
+)
+def test_induction_is_unitriangular(uv):
+    # tau is injective on simples, and F(z) has top tau(z) with every lower
+    # Loewy layer at a strictly higher flow
+    level = admissible_level(*uv)
+    simples = []
+    for r in range(1, level.u):
+        for s in range(1, level.v):
+            for flow in range(-2, 3):
+                simples.append(wc.atypical(level, r, s, flow))
+                for lam in (wt(F(1, 2)), wt(F(1, 3)), OMEGA):
+                    try:
+                        simples.append(wc.typical(level, r, s, lam, flow))
+                    except wc.NotSimple:
+                        pass
+    simples = set(simples)
+    assert len({fn.tau(level, z) for z in simples}) == len(simples)
+    for z in simples:
+        top = fn.tau(level, z)
+        layers = fn.induce_simple(level, z).layers
+        assert layers[0] == (top,)
+        assert all(y.flow > top.flow for layer in layers[1:] for y in layer)
+
+
 def test_induce_atypical():
     lv = admissible_level(5, 3)
     m = fn.induce_simple(lv, wc.atypical(lv, 1, 1, 0))
@@ -114,7 +142,7 @@ def test_induce_vacuum():
     lv = admissible_level(2, 3)
     n = fn.induce_vacuum(lv)
     factors = lc.comp_factors_a(lv, n)
-    assert factors == lc.GrothA.of(
+    assert factors == lc.a_class(
         lv,
         lc.unit_a(lv),
         lc.simple_a(lv, 1, 2, 1, wt(F(-1, 3))),
@@ -137,7 +165,7 @@ def test_groth_F_examples(level):
     # [sigma^l D+_{r,v-1}] -> [M_{u-r,1} x Pi_{l+1}(nu_{u-r,1})]
     for r in range(1, u):
         got = fn.groth_F(level, wc.GrothC.of(wc.atypical(level, r, v - 1, 2)))
-        assert got == lc.GrothA.of(level, lc.simple_a(level, u - r, 1, 3, nu_rs(level, u - r, 1)))
+        assert got == lc.a_class(level, lc.simple_a(level, u - r, 1, 3, nu_rs(level, u - r, 1)))
     # additivity
     x = wc.GrothC.of(wc.atypical(level, 1, 1, 1), wc.lr0(level, 1, 0))
     lhs = fn.groth_F(level, x)

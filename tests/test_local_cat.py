@@ -82,29 +82,29 @@ def test_a_fuse_examples():
     lv = admissible_level(5, 3)
     unit = lc.unit_a(lv)
     y = lc.simple_a(lv, 2, 2, 3, wt(F(2, 7), F(1, 2)))
-    assert lc.a_fuse(lv, unit, y) == lc.GrothA.of(lv, y)
+    assert lc.a_fuse(lv, unit, y) == lc.a_class(lv, y)
     inv = lc.simple_a(lv, 1, 1, -3, -wt(F(2, 7), F(1, 2)))
     prod = lc.a_fuse(lv, lc.simple_a(lv, 1, 1, 3, wt(F(2, 7), F(1, 2))), inv)
-    assert prod == lc.GrothA.of(lv, unit)
+    assert prod == lc.a_class(lv, unit)
     # (M_{1,2} x Pi_1(-t/2))^2 at (5,3): only the s'' = 1 channel survives
     x = lc.simple_a(lv, 1, 2, 1, -lv.t / 2)
-    assert lc.a_fuse(lv, x, x) == lc.GrothA.of(lv, lc.simple_a(lv, 1, 1, 2, -lv.t))
+    assert lc.a_fuse(lv, x, x) == lc.a_class(lv, lc.simple_a(lv, 1, 1, 2, -lv.t))
 
 
 def test_groth_a_ring(level):
     r = rng(31)
-    unit = lc.GrothA.of(level, lc.unit_a(level))
+    unit = lc.a_class(level, lc.unit_a(level))
     for _ in range(60):
-        x = lc.GrothA.of(level, random_alabel(level, r))
-        y = lc.GrothA.of(level, random_alabel(level, r))
-        z = lc.GrothA.of(level, random_alabel(level, r))
+        x = lc.a_class(level, random_alabel(level, r))
+        y = lc.a_class(level, random_alabel(level, r))
+        z = lc.a_class(level, random_alabel(level, r))
         assert x * y == y * x
         assert (x * y) * z == x * (y * z)
         assert unit * x == x
     for _ in range(20):
         flow, lam = r.randint(-5, 5), random_weight(r)
-        a = lc.GrothA.of(level, lc.simple_a(level, 1, 1, flow, lam))
-        b = lc.GrothA.of(level, lc.simple_a(level, 1, 1, -flow, -lam))
+        a = lc.a_class(level, lc.simple_a(level, 1, 1, flow, lam))
+        b = lc.a_class(level, lc.simple_a(level, 1, 1, -flow, -lam))
         assert a * b == unit
 
 
@@ -116,7 +116,7 @@ def test_rigid_dual_and_gv_dual():
     # gv = rigid followed by fusing with M(1,1) x Pi_{-2}(t)
     shift = lc.simple_a(lv, 1, 1, -2, lv.t)
     via_fusion = lc.a_fuse(lv, lc.rigid_dual_label(lv, x), shift)
-    assert via_fusion == lc.GrothA.of(lv, lc.gv_dual(lv, x))
+    assert via_fusion == lc.a_class(lv, lc.gv_dual(lv, x))
     # fixed point at (flow, lam) = (-1, t/2)
     fp = lc.simple_a(lv, 2, 1, -1, lv.t / 2)
     assert lc.gv_dual(lv, fp) == fp
