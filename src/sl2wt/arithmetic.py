@@ -314,11 +314,12 @@ class Groth:
             return self.__rmul__(other)
         if self.fuse is None:
             return NotImplemented
-        total = Groth(fuse=self.fuse)
+        out: Dict[Hashable, int] = {}
         for x, n in self.coeffs.items():
             for y, m in other.coeffs.items():
-                total = total + (n * m) * self.fuse(x, y)
-        return total
+                for z, c in self.fuse(x, y).items():
+                    out[z] = out.get(z, 0) + n * m * c
+        return Groth(out, self.fuse)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Groth) and self.coeffs == other.coeffs

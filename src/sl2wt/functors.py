@@ -6,17 +6,22 @@ Conventions follow the restriction table: with the Pi-index written as l-1,
 the simple M(r,s) x Pi_{l-1}(lam) restricts to sigma^l(E-_{u-r,v-s}) when
 lam = nu_{r,s} mod Z, to sigma^l(E-_{r,s}) when lam = nu_{u-r,v-s} mod Z,
 and to the typical simple sigma^l(E_{2*lam-k, Delta_{r,s}}) otherwise.
+
+Restriction is memoized per process in a least-recently-used table of fixed
+size, since one pipeline run restricts each simple several times.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .arithmetic import AdmissibleLevel, nu_rs
 from . import weight_cat as wc
 from . import local_cat as lc
 
 
+@lru_cache(maxsize=1024)
 def restrict_simple(level: AdmissibleLevel, y: lc.SimpleALabel) -> wc.CObject:
     """Restriction of a simple extended-algebra module to the weight category."""
     flow = y.flow + 1

@@ -10,6 +10,7 @@ preimage, reporting NoSolution / Ambiguous outcomes instead of guessing.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, List, Optional
 
 from .arithmetic import AdmissibleLevel, check_rs, lam_rs
@@ -107,10 +108,19 @@ def a_tensor_restriction(level: AdmissibleLevel, y: lc.SimpleALabel) -> wc.Groth
     return total
 
 
+@lru_cache(maxsize=16)
+def _vacuum_class(level: AdmissibleLevel) -> lc.GrothA:
+    """The class [N] of F(A), shared between calls: never mutate it."""
+    return lc.comp_factors_a(level, induce_vacuum(level))
+
+
 def a_tensor_restriction_via_ring(level: AdmissibleLevel, y: lc.SimpleALabel) -> wc.GrothC:
-    """Same class computed through the extended fusion ring: restrict [N]*[y]."""
-    n_class = lc.comp_factors_a(level, induce_vacuum(level))
-    return groth_restrict(level, n_class * lc.a_class(level, y))
+    """Same class computed through the extended fusion ring: restrict [y]*[N].
+
+    The product takes its fusion map from the fresh class of y, so the shared
+    [N] contributes only its coefficients.
+    """
+    return groth_restrict(level, lc.a_class(level, y) * _vacuum_class(level))
 
 
 # ---------------------------------------------------------------------------

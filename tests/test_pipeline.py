@@ -7,6 +7,7 @@ from sl2wt import OMEGA, admissible_level, wt
 from sl2wt import weight_cat as wc
 from sl2wt import local_cat as lc
 from sl2wt.pipeline import (
+    MultCheck,
     SampleConfig,
     expected_vacuum_factors,
     noncentrality_witness,
@@ -50,6 +51,19 @@ def test_pipeline_corrupted_fusion_fails_step2(monkeypatch):
     assert not report.verdict
     assert not report.step2.passed
     assert any(not c.passed for c in report.step2.atypical_multiplicity_checks)
+    assert "routes disagree" in report.to_text()
+    # the JSON record of a check keeps its four keys
+    checks = report.to_json()["step2"]["atypical_multiplicity_checks"]
+    assert all(set(c) == {"label", "expected", "got", "pass"} for c in checks)
+
+
+def test_mult_check_names_the_failed_sub_check():
+    lv = admissible_level(5, 3)
+    x = wc.atypical(lv, 1, 1, 0)
+    assert MultCheck(x, 2, 2, True).passed
+    assert MultCheck(x, 2, 2, False).failures() == ["routes disagree"]
+    assert MultCheck(x, 2, 1, True).failures() == ["multiplicity expected 2, got 1"]
+    assert not MultCheck(x, 2, 1, True).passed
 
 
 def test_omega_always_sampled():
