@@ -9,16 +9,22 @@ vector that drives the explicit fusion computation.
 
 Matrix entries live in Q[w] (polynomials in the formal irrational w with
 Fraction coefficients), since a generic weight lam = a + b*w gets squared in
-the string coefficients.
+the string coefficients.  Each window builds its e, f and h matrices once, on
+first use, and every action looks its coefficients up there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Tuple
 
-from .arithmetic import AdmissibleLevel, Weight, as_weight, lam_rs
+from .arithmetic import AdmissibleLevel, Weight, as_weight, lam_rs, strict_int
+
+# Largest window N accepted by build_relaxed and reducibility_points.  The
+# matrices of a window hold 6N + 1 entries, so memory grows with N as time does.
+MAX_WINDOW = 5000
 
 Poly = Tuple[Fraction, ...]  # coefficients of 1, w, w^2, ...
 
@@ -38,6 +44,10 @@ def _poly(x) -> Poly:
 
 
 def _padd(p: Poly, q: Poly) -> Poly:
+    if not p:
+        return q
+    if not q:
+        return p
     n = max(len(p), len(q))
     return _trim([
         (p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)
@@ -51,6 +61,8 @@ def _psub(p: Poly, q: Poly) -> Poly:
 def _pmul(p: Poly, q: Poly) -> Poly:
     if not p or not q:
         return _ZERO
+    if len(p) == 1:
+        return _pscale(q, p[0])
     out = [Fraction(0)] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         for j, b in enumerate(q):
@@ -113,21 +125,33 @@ class RelaxedWindow:
         val = _psub(_poly(self.casimir), _pscale(_pmul(x, x), Fraction(1, 2)))
         return _pscale(_psub(val, x), Fraction(1, 2))
 
-    def act(self, gen: str, vec: Vec) -> Vec:
-        out: Vec = {}
+    @cached_property
+    def _matrices(self) -> Dict[str, Tuple[Dict[int, Poly], int]]:
+        """Generator -> (its coefficient at each window index it acts on, index shift).
+
+        e has no entry at N and f none at -N: their images would leave the
+        window, so a missing entry is the truncation.
+        """
         n = self.window
+        return {
+            "h": ({i: self._x(i, 0) for i in range(-n, n + 1)}, 0),
+            "e": ({i: self.up_coeff(i) for i in range(-n, n)}, 1),
+            "f": ({i: self.down_coeff(i) for i in range(-n + 1, n + 1)}, -1),
+        }
+
+    def act(self, gen: str, vec: Vec) -> Vec:
+        if gen not in ("h", "e", "f"):
+            raise ValueError(f"unknown generator {gen!r}")
+        matrix, shift = self._matrices[gen]
+        out: Vec = {}
         for i, p in vec.items():
-            if gen == "h":
-                image = [(i, _pmul(p, self._x(i, 0)))]
-            elif gen == "e":
-                image = [(i + 1, _pmul(p, self.up_coeff(i)))] if i + 1 <= n else []
-            elif gen == "f":
-                image = [(i - 1, _pmul(p, self.down_coeff(i)))] if i - 1 >= -n else []
-            else:
-                raise ValueError(f"unknown generator {gen!r}")
-            for j, q in image:
-                if q:
-                    out[j] = _padd(out.get(j, _ZERO), q)
+            c = matrix.get(i)
+            if c is None:
+                continue
+            q = _pmul(p, c)
+            if q:
+                j = i + shift
+                out[j] = _padd(out.get(j, _ZERO), q)
         return {i: p for i, p in out.items() if p}
 
     def interior(self) -> range:
@@ -186,11 +210,16 @@ class RelaxedWindow:
         return True
 
 
-def build_relaxed(lam, casimir, sign: str, window: int) -> RelaxedWindow:
+def _check_model(sign: str, window: int) -> None:
+    """Reject a sign other than minus/plus and a window outside [1, MAX_WINDOW]."""
     if sign not in ("minus", "plus"):
         raise ValueError(f"sign must be 'minus' or 'plus', got {sign!r}")
-    if window < 1:
-        raise ValueError("window must be >= 1")
+    if not 1 <= strict_int(window, "window") <= MAX_WINDOW:
+        raise ValueError(f"window must be in [1, {MAX_WINDOW}], got {window}")
+
+
+def build_relaxed(lam, casimir, sign: str, window: int) -> RelaxedWindow:
+    _check_model(sign, window)
     return RelaxedWindow(as_weight(lam), as_weight(casimir), sign, window)
 
 
@@ -199,6 +228,7 @@ def reducibility_points(lam, casimir, sign: str, window: int) -> List[Weight]:
 
     C_mu = mu^2/2 + mu.  An empty list certifies irreducibility over the window.
     """
+    _check_model(sign, window)
     lam = as_weight(lam)
     target = _poly(casimir)
     out: List[Weight] = []

@@ -6,6 +6,7 @@ import pytest
 from sl2wt import OMEGA, admissible_level, wt
 from sl2wt import weight_cat as wc
 from sl2wt import local_cat as lc
+from sl2wt import sl2_oracle as so
 from sl2wt.cli import main, parse_clabel, parse_alabel, parse_weight
 
 
@@ -90,6 +91,7 @@ def _c_json(flow=0, **base):
         ("induce", "--level", "5/3", "--label", _c_json(flow=1.5)),
         ("dual", "--level", "5/3", "--label", _a_json(tag="M", s=2, flow=1.5)),
         ("pipeline", "--level", "5/3", "--flows=5..1"),
+        ("oracle", "relaxed", "--lam", "0", "--casimir", "0", "--window", str(so.MAX_WINDOW + 1)),
     ],
 )
 def test_invalid_input_is_a_usage_error(capsys, argv):

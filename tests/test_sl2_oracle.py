@@ -1,14 +1,20 @@
+import math
 from fractions import Fraction as F
 
-from sl2wt import OMEGA, admissible_level, wt
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sl2wt import OMEGA, Weight, admissible_level, wt
+from sl2wt import sl2_oracle as so
 from sl2wt.sl2_oracle import (
     AffineDepth1,
+    RelaxedWindow,
     build_relaxed,
     reducibility_points,
     verify_affine_singular,
 )
 
-from conftest import random_fraction, rng
+from conftest import random_fraction, random_weight, rng
 
 
 def c_mu(mu: F) -> F:
@@ -88,3 +94,159 @@ def test_depth1_modes_land_where_expected():
     assert all(kind in ("e", "h") for kind, _ in image)
     image = model.act_one("h", {("f", 2): F(1)})
     assert all(kind == "T" for kind, _ in image)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (1, F(3, 2), "bogus", 5),
+        (0, 0, "minus", -3),
+        (0, 0, "plus", 0),
+        (0, 0, "minus", so.MAX_WINDOW + 1),
+        (0, 0, "minus", True),
+        (0, 0, "minus", 2.0),
+    ],
+)
+def test_invalid_model_is_rejected(args):
+    with pytest.raises(ValueError):
+        reducibility_points(*args)
+    with pytest.raises(ValueError):
+        build_relaxed(*args)
+
+
+def test_act_rejects_unknown_generator():
+    with pytest.raises(ValueError):
+        build_relaxed(0, 0, "minus", 3).act("x", {})
+
+
+@pytest.mark.parametrize("sign", ["minus", "plus"])
+@pytest.mark.parametrize("coeff", ["up_coeff", "down_coeff"])
+def test_corrupted_matrix_entry_fails_both_checks(monkeypatch, sign, coeff):
+    # negative control: a +1 on one matrix entry at index 0.  The models are
+    # generic, so no string coefficient next to index 0 vanishes and hides it.
+    honest = getattr(RelaxedWindow, coeff)
+
+    def corrupted(self, i):
+        c = honest(self, i)
+        return so._padd(c, so._ONE) if i == 0 else c
+
+    monkeypatch.setattr(RelaxedWindow, coeff, corrupted)
+    for lam, cas in ((F(1, 3), F(-2, 5)), (F(-3), F(7, 2)), (wt(F(1, 2), 1), wt(3, F(1, 4)))):
+        win = build_relaxed(lam, cas, sign, 4)
+        assert not win.check_brackets()
+        assert not win.check_casimir()
+
+
+# Reference for act: each coefficient computed from _x, up_coeff and
+# down_coeff where it is used, with plain polynomial arithmetic and no
+# short-circuits.
+
+def _ref_trim(cs):
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _ref_add(p, q):
+    n = max(len(p), len(q))
+    return _ref_trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)])
+
+
+def _ref_mul(p, q):
+    if not p or not q:
+        return ()
+    out = [F(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return _ref_trim(out)
+
+
+def reference_act(win, gen, vec):
+    out = {}
+    n = win.window
+    for i, p in vec.items():
+        if gen == "h":
+            image = [(i, _ref_mul(p, win._x(i, 0)))]
+        elif gen == "e":
+            image = [(i + 1, _ref_mul(p, win.up_coeff(i)))] if i + 1 <= n else []
+        else:
+            image = [(i - 1, _ref_mul(p, win.down_coeff(i)))] if i - 1 >= -n else []
+        for j, q in image:
+            if q:
+                out[j] = _ref_add(out.get(j, ()), q)
+    return {i: p for i, p in out.items() if p}
+
+
+def _random_poly(r):
+    return _ref_trim([random_fraction(r, 5, 4) for _ in range(r.randint(0, 3))])
+
+
+def test_tabled_act_matches_per_call_reference():
+    r = rng(13)
+    models = [
+        (F(-7, 3), F(5, 2)),
+        (wt(F(1, 3), F(-1, 2)), F(2)),
+        (F(1, 2), wt(F(-1, 4), 3)),
+        (OMEGA, OMEGA),
+    ]
+    models += [(random_weight(r), random_weight(r)) for _ in range(4)]
+    for lam, cas in models:
+        for sign in ("minus", "plus"):
+            n = r.randint(1, 6)
+            win = build_relaxed(lam, cas, sign, n)
+            for _ in range(12):
+                indices = {-n, n} | {r.randint(-n, n) for _ in range(r.randint(0, 4))}
+                vec = {i: p for i in indices if (p := _random_poly(r))}
+                for gen in ("h", "e", "f"):
+                    assert win.act(gen, vec) == reference_act(win, gen, vec), (lam, cas, sign, gen, vec)
+
+
+def _rational_sqrt(q):
+    if q < 0:
+        return None
+    n, d = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    return F(n, d) if n * n == q.numerator and d * d == q.denominator else None
+
+
+def _expected_points(lam: Weight, cas: Weight, sign: str, n: int):
+    """x in lam + 2Z, |x - lam| <= 2N, with x^2/2 -+ x = C, by the root formula.
+
+    A w-part in lam gives C_x a w^2 term, and a w-part in C matches no
+    rational C_x, so either leaves no root.
+    """
+    if lam.b or cas.b:
+        return []
+    root = _rational_sqrt(1 + 2 * cas.a)
+    if root is None:
+        return []
+    centre = -1 if sign == "minus" else 1
+    out = set()
+    for x in (centre + root, centre - root):
+        steps = (x - lam.a) / 2
+        if steps.denominator == 1 and abs(steps) <= n:
+            out.add(x)
+    return [wt(x) for x in sorted(out)]
+
+
+_small = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+_q_plus_qw = st.builds(Weight, _small, st.one_of(st.just(F(0)), _small))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lam=_q_plus_qw,
+    cas=_q_plus_qw,
+    sign=st.sampled_from(["minus", "plus"]),
+    n=st.integers(1, 6),
+    hit=st.one_of(st.none(), st.integers(-8, 8)),
+)
+def test_window_relations_and_points_property(lam, cas, sign, n, hit):
+    if hit is not None and not lam.b:
+        # put a root at lam + 2*hit, inside the window or just outside it
+        x = lam.a + 2 * hit
+        cas = wt(x * x / 2 + (x if sign == "minus" else -x))
+    win = build_relaxed(lam, cas, sign, n)
+    assert win.check_brackets()
+    assert win.check_casimir()
+    assert reducibility_points(lam, cas, sign, n) == _expected_points(lam, cas, sign, n)
