@@ -31,7 +31,8 @@ print()
 # --- the Grothendieck solver ------------------------------------------------
 # Products of arbitrary effective classes are solved through induction: the
 # induced product is computed in the extended fusion ring and the unique
-# effective preimage is recovered from an integer linear system.
+# effective preimage is peeled off it term by term, lowest flow first, since
+# the top of F(z) is tau(z) and its lower factors sit at higher flows.
 x = wc.GrothC.of(wc.typical(lv, 1, 2, OMEGA))
 y = wc.GrothC.of(wc.atypical(lv, 2, 1, -1))
 print(f"[{list(x.support())[0]}] x [{list(y.support())[0]}] =")

@@ -135,11 +135,6 @@ def _cmd_fuse(args) -> int:
     obj = fu.catalogued_fusion(level, x, y)
     try:
         kclass = fu.groth_fuse_C(level, wc.GrothC.of(x), wc.GrothC.of(y))
-    except fu.Ambiguous as exc:
-        print(f"ambiguous: {len(exc.solutions)} effective solutions", file=sys.stderr)
-        for sol in exc.solutions:
-            print(f"  {sol}", file=sys.stderr)
-        return 1
     except fu.NoSolution as exc:
         print(f"no solution: {exc}", file=sys.stderr)
         return 1

@@ -1,6 +1,6 @@
 """Restriction and induction between the affine weight category and the
-extended category, with the section maps tau / tau-tilde and the
-Grothendieck-level induction map.
+extended category, with the section maps tau / tau-tilde, the inverse of the
+bijection tau, and the Grothendieck-level induction map.
 
 Conventions follow the restriction table: with the Pi-index written as l-1,
 the simple M(r,s) x Pi_{l-1}(lam) restricts to sigma^l(E-_{u-r,v-s}) when
@@ -74,13 +74,17 @@ def induce_vacuum(level: AdmissibleLevel) -> lc.ADirectSum:
     return lc.ADirectSum((lc.ASimple(lc.unit_a(level)), lc.build_M(level, 1, 2, 1)))
 
 
-def frobenius_dim(level: AdmissibleLevel, x: wc.SimpleCLabel, y: lc.SimpleALabel) -> int:
-    """dim Hom(F(x), y) = multiplicity of x in the socle of the restriction of y."""
+def tau_inverse(level: AdmissibleLevel, y: lc.SimpleALabel) -> wc.SimpleCLabel:
+    """The simple x with tau(x) = y: the socle of the restriction of y."""
     res = restrict_simple(level, y)
     if isinstance(res, wc.Simple):
-        return 1 if res.label == x else 0
-    socle = wc.dminus(level, res.r, res.s, res.flow)
-    return 1 if socle == x else 0
+        return res.label
+    return wc.dminus(level, res.r, res.s, res.flow)
+
+
+def frobenius_dim(level: AdmissibleLevel, x: wc.SimpleCLabel, y: lc.SimpleALabel) -> int:
+    """dim Hom(F(x), y) = multiplicity of x in the socle of the restriction of y."""
+    return 1 if tau_inverse(level, y) == x else 0
 
 
 def groth_F(level: AdmissibleLevel, x: wc.GrothC) -> lc.GrothA:

@@ -3,32 +3,26 @@
 Two explicit families are catalogued at object level -- D+(1,1) fused with
 any lowest-weight D-(r,s), and the self-fusion of sigma(D+(1,1)) -- and a
 Grothendieck-level solver transfers arbitrary products of effective classes
-through the induction functor: it computes the induced product in the
-extended fusion ring and solves an integer system for the unique effective
-preimage, reporting NoSolution / Ambiguous outcomes instead of guessing.
+through the induction functor.  Induction is unitriangular on Grothendieck
+groups: the top of F(z) is tau(z) and every lower factor sits at a higher
+flow.  So the solver computes the induced product in the extended fusion ring
+and peels it term by term, lowest flow first, into the unique effective
+preimage, raising NoSolution when no effective class induces to it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .arithmetic import AdmissibleLevel, check_rs, lam_rs
 from . import weight_cat as wc
 from . import local_cat as lc
-from .functors import groth_F, restrict_simple, groth_restrict, induce_simple, induce_vacuum
+from .functors import groth_F, restrict_simple, groth_restrict, induce_simple, induce_vacuum, tau_inverse
 
 
 class NoSolution(RuntimeError):
-    """The induced-product system is inconsistent (implementation bug signal)."""
-
-
-class Ambiguous(RuntimeError):
-    """Several effective classes induce to the same product."""
-
-    def __init__(self, solutions: List[wc.GrothC]):
-        super().__init__(f"{len(solutions)} effective solutions found")
-        self.solutions = solutions
+    """No effective class induces to the product (implementation bug signal)."""
 
 
 def fuse_D11plus_Dminus(level: AdmissibleLevel, r: int, s: int) -> wc.CObject:
@@ -131,98 +125,67 @@ def _induced_class(level: AdmissibleLevel, z: wc.SimpleCLabel) -> lc.GrothA:
     return lc.comp_factors_a(level, induce_simple(level, z))
 
 
-def _candidates(level: AdmissibleLevel, p: lc.GrothA) -> List[wc.SimpleCLabel]:
-    """All canonical simple labels whose induced class is supported in supp(p).
+def _peel_order(w: lc.SimpleALabel):
+    return (w.flow, w.sort_key())
 
-    The top constituent of any induced object sits in supp(p), which pins the
-    candidate typicals to (top label, top flow, top lam) and bounds the
-    atypical flows to {m, m-1} for Pi-flows m occurring in p.
+
+def _candidates(
+    level: AdmissibleLevel, p: lc.GrothA
+) -> List[Tuple[lc.SimpleALabel, wc.SimpleCLabel]]:
+    """(w, tau^-1(w)) for each term w of p, lowest flow first.
+
+    Every lower factor of F(z) sits at a higher flow than its top tau(z), so
+    in this order each term's coefficient is final by the time it is reached.
     """
-    support = p.support()
-    seen: set = set()
-    out: List[wc.SimpleCLabel] = []
-
-    def consider(z: wc.SimpleCLabel) -> None:
-        if z in seen:
-            return
-        seen.add(z)
-        if _induced_class(level, z).support() <= support:
-            out.append(z)
-
-    flows = {w.flow for w in support}
-    for w in support:
-        try:
-            consider(wc.typical(level, w.r, w.s, 2 * w.lam - level.k, w.flow + 1))
-        except wc.NotSimple:
-            pass
-    for r in range(1, level.u):
-        for s in range(1, level.v):
-            for m in flows | {m - 1 for m in flows}:
-                consider(wc.atypical(level, r, s, m))
-    return out
+    return [(w, tau_inverse(level, w)) for w in sorted(p.support(), key=_peel_order)]
 
 
-def _solve_nonneg(
-    targets: List[lc.SimpleALabel],
-    target_counts: List[int],
-    cand_vectors: List[Dict[lc.SimpleALabel, int]],
-    cap: int = 16,
-) -> List[Dict[int, int]]:
-    """All nonnegative integer combinations of cand_vectors equal to the target."""
-    index = {w: i for i, w in enumerate(targets)}
-    vecs = [{index[w]: n for w, n in v.items()} for v in cand_vectors]
-    # labels that no later candidate can still reach must be exhausted early
-    last_touch = [max((i for i, v in enumerate(vecs) if j in v), default=-1) for j in range(len(targets))]
-    solutions: List[Dict[int, int]] = []
+def _subtract(residual: Dict[lc.SimpleALabel, int], n: int, cls: lc.GrothA) -> None:
+    """residual -= n * cls in place, dropping the entries that reach zero."""
+    for v, m in cls.items():
+        left = residual.get(v, 0) - n * m
+        if left:
+            residual[v] = left
+        else:
+            del residual[v]
 
-    def dfs(i: int, residual: List[int], chosen: Dict[int, int]) -> None:
-        if len(solutions) >= cap:
-            return
-        if i == len(vecs):
-            if all(n == 0 for n in residual):
-                solutions.append(dict(chosen))
-            return
-        for j, n in enumerate(residual):
-            if n > 0 and last_touch[j] < i:
-                return
-        v = vecs[i]
-        top = min(residual[j] // n for j, n in v.items())
-        for count in range(top, -1, -1):
-            if count:
-                chosen[i] = count
-            elif i in chosen:
-                del chosen[i]
-            dfs(i + 1, [residual[j] - count * v.get(j, 0) for j in range(len(residual))], chosen)
-        chosen.pop(i, None)
 
-    dfs(0, list(target_counts), {})
-    return solutions
+def _lowest_left(residual: Dict[lc.SimpleALabel, int]) -> str:
+    w = min(residual, key=_peel_order)
+    return f"coefficient {residual[w]} left at {w}"
 
 
 def groth_fuse_C(level: AdmissibleLevel, x: wc.GrothC, y: wc.GrothC) -> wc.GrothC:
     """Fusion of effective classes, solved through the induction functor.
 
-    Computes p = F(x)*F(y) in the extended ring, enumerates the finite set of
-    simple labels whose induced classes fit inside supp(p), and solves
-    sum n_i * F(z_i) = p over nonnegative integers.  Raises NoSolution if the
-    system is inconsistent and Ambiguous (carrying every solution found) if
-    the effective preimage is not unique.
+    Computes p = F(x)*F(y) in the extended ring and peels it by
+    unitriangularity: the lowest-flow term w not yet reached, with
+    coefficient n in what is left, fixes n copies of z = tau^-1(w), and
+    n*F(z) is subtracted.  Raises NoSolution, naming a label and its
+    coefficient, if a negative coefficient is reached, if anything is left
+    over, or if the functor itself does not send the result back to p.
     """
     if not (x.is_effective and y.is_effective):
         raise ValueError("solver inputs must be effective (nonnegative) classes")
     if x.is_zero or y.is_zero:
         return wc.GrothC()
     p = groth_F(level, x) * groth_F(level, y)
-    cands = _candidates(level, p)
-    targets = sorted(p.support(), key=lambda w: w.sort_key())
-    counts = [p.multiplicity(w) for w in targets]
-    vectors = [dict(_induced_class(level, z).items()) for z in cands]
-    order = sorted(range(len(cands)), key=lambda i: min(t.sort_key() for t in vectors[i]))
-    cands = [cands[i] for i in order]
-    vectors = [vectors[i] for i in order]
-    sols = _solve_nonneg(targets, counts, vectors)
-    if not sols:
-        raise NoSolution(f"no effective class induces to {p}")
-    if len(sols) > 1:
-        raise Ambiguous([wc.GrothC({cands[i]: n for i, n in s.items()}) for s in sols])
-    return wc.GrothC({cands[i]: n for i, n in sols[0].items()})
+    residual: Dict[lc.SimpleALabel, int] = dict(p.items())
+    out: Dict[wc.SimpleCLabel, int] = {}
+    for w, z in _candidates(level, p):
+        n = residual.get(w, 0)
+        if n < 0:
+            raise NoSolution(f"coefficient {n} at {w} when peeled")
+        if n:
+            out[z] = n
+            _subtract(residual, n, _induced_class(level, z))
+    if residual:
+        raise NoSolution(f"{_lowest_left(residual)} after peeling")
+    # the peel only shows sum n*_induced_class(z) = p: re-induce the result
+    # through the functor, so that a wrong class there cannot certify itself
+    residual = dict(p.items())
+    for z, n in out.items():
+        _subtract(residual, n, lc.comp_factors_a(level, induce_simple(level, z)))
+    if residual:
+        raise NoSolution(f"F(result) differs from the product: {_lowest_left(residual)}")
+    return wc.GrothC(out)

@@ -22,7 +22,7 @@ from typing import Dict, List, Tuple
 
 from .arithmetic import AdmissibleLevel, Weight, as_weight, lam_rs, strict_int
 
-# Largest window N accepted by build_relaxed and reducibility_points.  The
+# Largest window N accepted by RelaxedWindow and reducibility_points.  The
 # matrices of a window hold 6N + 1 entries, so memory grows with N as time does.
 MAX_WINDOW = 5000
 
@@ -61,6 +61,8 @@ def _psub(p: Poly, q: Poly) -> Poly:
 def _pmul(p: Poly, q: Poly) -> Poly:
     if not p or not q:
         return _ZERO
+    if p == _ONE:
+        return q
     if len(p) == 1:
         return _pscale(q, p[0])
     out = [Fraction(0)] * (len(p) + len(q) - 1)
@@ -98,13 +100,17 @@ class RelaxedWindow:
     (C - (lam+2i-2)^2/2 - (lam+2i-2)) / 2; the plus model is the mirror with
     f shifting down by 1 and e carrying (C - (lam+2i+2)^2/2 + (lam+2i+2)) / 2.
     Shift images falling outside the window are truncated, so only interior
-    indices support exact relations.
+    indices support exact relations.  The constructor rejects a sign other
+    than minus/plus and a window outside [1, MAX_WINDOW].
     """
 
     lam: Weight
     casimir: Weight
     sign: str
     window: int
+
+    def __post_init__(self) -> None:
+        _check_model(self.sign, self.window)
 
     def _x(self, i: int, offset: int) -> Poly:
         return _poly(self.lam + 2 * i + offset)
@@ -219,7 +225,6 @@ def _check_model(sign: str, window: int) -> None:
 
 
 def build_relaxed(lam, casimir, sign: str, window: int) -> RelaxedWindow:
-    _check_model(sign, window)
     return RelaxedWindow(as_weight(lam), as_weight(casimir), sign, window)
 
 

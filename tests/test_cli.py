@@ -159,6 +159,17 @@ def test_pipeline_failure_exit_code(capsys, monkeypatch):
     assert "verdict: FAIL" in out
 
 
+def test_fuse_failure_exit_code(capsys, monkeypatch):
+    from sl2wt import local_cat as lc_mod
+
+    monkeypatch.setattr(lc_mod, "vir_fuse", lambda level, r, s, rp, sp: [(1, 1)])
+    code, out, err = run(capsys, "fuse", "--level", "5/3", "--lhs", "D+(1,1)@0", "--rhs", "D-(1,1)@0")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("no solution: coefficient ")
+    assert "Traceback" not in err
+
+
 def test_json_output_round_trips_byte_identically(capsys):
     code, out, _ = run(
         capsys, "induce", "--level", "5/3", "--label", "D+(1,2)@0", "--json"

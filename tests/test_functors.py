@@ -76,6 +76,25 @@ def test_tau_injective(level):
         assert len(images) == len(labels)
 
 
+def test_tau_is_a_bijection(level):
+    # tau_inverse (the socle of the restriction) undoes tau on both sides:
+    # on A-simples at every Kac label, flows -2..2, every nu coset, a
+    # rational and a w-generic lam; on sampled and all atypical C-simples
+    lams = {nu_rs(level, r, s) for r in range(1, level.u) for s in range(1, level.v)}
+    lams |= {wt(F(2, 7)), wt(F(1, 3), F(1))}
+    for r in range(1, level.u):
+        for s in range(1, level.v):
+            for flow in range(-2, 3):
+                for lam in lams:
+                    y = lc.simple_a(level, r, s, flow, lam)
+                    assert fn.tau(level, fn.tau_inverse(level, y)) == y
+    rnd = rng(45)
+    simples = [random_label(level, rnd) for _ in range(120)]
+    simples += [wc.atypical(level, r, s, f) for r in range(1, level.u) for s in range(1, level.v) for f in (-2, 0, 2)]
+    for x in simples:
+        assert fn.tau_inverse(level, fn.tau(level, x)) == x
+
+
 @pytest.mark.parametrize(
     "uv", [(3, 2), (5, 3), (7, 4), (11, 6), (13, 8), (5, 2), (7, 3)], ids=lambda uv: f"{uv[0]}-{uv[1]}"
 )

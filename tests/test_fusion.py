@@ -1,13 +1,16 @@
-import pytest
+from fractions import Fraction as F
 
-from sl2wt import OMEGA, admissible_level, wt
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sl2wt import OMEGA, Weight, admissible_level, wt
 from sl2wt.arithmetic import lam_rs
 from sl2wt import weight_cat as wc
 from sl2wt import local_cat as lc
 from sl2wt import functors as fn
 from sl2wt import fusion as fu
 
-from conftest import random_weight, rng
+from conftest import TEST_LEVELS, random_weight, rng
 from test_weight_cat import random_label
 
 
@@ -108,10 +111,7 @@ def test_solver_commutative_and_equivariant():
     for _ in range(12):
         x = wc.GrothC.of(random_label(lv, r))
         y = wc.GrothC.of(wc.atypical(lv, r.randint(1, 4), r.randint(1, 2), r.randint(-2, 2)))
-        try:
-            p = fu.groth_fuse_C(lv, x, y)
-        except fu.Ambiguous:
-            continue
+        p = fu.groth_fuse_C(lv, x, y)
         assert p == fu.groth_fuse_C(lv, y, x)
         a, b = r.randint(-2, 2), r.randint(-2, 2)
         flowed = fu.groth_fuse_C(lv, wc.groth_flow(x, a), wc.groth_flow(y, b))
@@ -121,19 +121,13 @@ def test_solver_commutative_and_equivariant():
 def test_solver_associative_on_sampled_triples():
     lv = admissible_level(5, 3)
     r = rng(55)
-    checked = 0
     for _ in range(6):
         x = wc.GrothC.of(random_label(lv, r))
         y = wc.GrothC.of(random_label(lv, r))
         z = wc.GrothC.of(random_label(lv, r))
-        try:
-            lhs = fu.groth_fuse_C(lv, fu.groth_fuse_C(lv, x, y), z)
-            rhs = fu.groth_fuse_C(lv, x, fu.groth_fuse_C(lv, y, z))
-        except fu.Ambiguous:
-            continue  # ambiguity is surfaced, not silently resolved
+        lhs = fu.groth_fuse_C(lv, fu.groth_fuse_C(lv, x, y), z)
+        rhs = fu.groth_fuse_C(lv, x, fu.groth_fuse_C(lv, y, z))
         assert lhs == rhs
-        checked += 1
-    assert checked >= 3
 
 
 def test_solver_duality_compatibility():
@@ -142,10 +136,7 @@ def test_solver_duality_compatibility():
     for _ in range(8):
         x = wc.GrothC.of(random_label(lv, r))
         y = wc.GrothC.of(random_label(lv, r))
-        try:
-            p = fu.groth_fuse_C(lv, x, y)
-        except fu.Ambiguous:
-            continue
+        p = fu.groth_fuse_C(lv, x, y)
         lhs = wc.groth_contragredient(lv, p)
         rhs = fu.groth_fuse_C(
             lv, wc.groth_contragredient(lv, x), wc.groth_contragredient(lv, y)
@@ -158,6 +149,72 @@ def test_solver_rejects_virtual_classes():
     x = wc.GrothC.of(wc.atypical(lv, 1, 1, 0))
     with pytest.raises(ValueError):
         fu.groth_fuse_C(lv, x - 2 * x, x)
+
+
+@pytest.mark.parametrize("which", [0, -1], ids=["first", "last"])
+def test_solver_refuses_a_wrong_induced_class(monkeypatch, level, which):
+    # negative control: the peel subtracts F(z) with one lower Loewy factor
+    # missing.  The solver must raise whenever it used such a class and may
+    # return only the true product otherwise.
+    original = fu._induced_class
+
+    def drop_lower_factor(lv, z):
+        cls = original(lv, z)
+        top = min(w.flow for w in cls.support())
+        lower = sorted((w for w in cls.support() if w.flow > top), key=lambda w: (w.flow, w.sort_key()))
+        if not lower:
+            return cls
+        return lc.GrothA({w: n for w, n in cls.items() if w != lower[which]}, cls.fuse)
+
+    r = rng(56)
+    raised = 0
+    for size in (1, 1, 2, 3):
+        x = wc.GrothC.of(*(random_label(level, r) for _ in range(size)))
+        y = wc.GrothC.of(*(random_label(level, r) for _ in range(size)))
+        expected = fu.groth_fuse_C(level, x, y)
+        touched = any(drop_lower_factor(level, z) != original(level, z) for z in expected.support())
+        with monkeypatch.context() as m:
+            m.setattr(fu, "_induced_class", drop_lower_factor)
+            if touched:
+                with pytest.raises(fu.NoSolution):
+                    fu.groth_fuse_C(level, x, y)
+                raised += 1
+            else:
+                assert fu.groth_fuse_C(level, x, y) == expected
+    assert raised
+
+
+@st.composite
+def _effective_class(draw, level):
+    labels = []
+    for _ in range(draw(st.integers(1, 3))):
+        r, s = draw(st.integers(1, level.u - 1)), draw(st.integers(1, level.v - 1))
+        flow = draw(st.integers(-3, 3))
+        kind = draw(st.sampled_from(["atypical", "rational", "w"]))
+        if kind == "atypical":
+            labels.append(wc.atypical(level, r, s, flow))
+            continue
+        lam = Weight(draw(st.fractions(-6, 6, max_denominator=6)), F(1) if kind == "w" else F(0))
+        try:
+            labels.append(wc.typical(level, r, s, lam, flow))
+        except wc.NotSimple:
+            labels.append(wc.typical(level, r, s, lam + OMEGA, flow))
+    return wc.GrothC.of(*labels)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), uv=st.sampled_from(TEST_LEVELS))
+def test_solver_property(data, uv):
+    # effective result, F(z) = F(x) F(y), commutativity and the unit law
+    level = admissible_level(*uv)
+    x = data.draw(_effective_class(level))
+    y = data.draw(_effective_class(level))
+    z = fu.groth_fuse_C(level, x, y)
+    assert z.is_effective and not z.is_zero
+    assert fn.groth_F(level, z) == fn.groth_F(level, x) * fn.groth_F(level, y)
+    assert fu.groth_fuse_C(level, y, x) == z
+    unit = wc.GrothC.of(wc.lr0(level, 1, 0))
+    assert fu.groth_fuse_C(level, unit, x) == x
 
 
 def test_a_tensor_restriction_routes(level):

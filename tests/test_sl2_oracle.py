@@ -105,13 +105,17 @@ def test_depth1_modes_land_where_expected():
         (0, 0, "minus", so.MAX_WINDOW + 1),
         (0, 0, "minus", True),
         (0, 0, "minus", 2.0),
+        (0, 0, "minus", 10**7),
     ],
 )
 def test_invalid_model_is_rejected(args):
+    lam, cas, sign, window = args
     with pytest.raises(ValueError):
         reducibility_points(*args)
     with pytest.raises(ValueError):
         build_relaxed(*args)
+    with pytest.raises(ValueError):
+        so.RelaxedWindow(wt(lam), wt(cas), sign, window)
 
 
 def test_act_rejects_unknown_generator():
