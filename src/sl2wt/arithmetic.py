@@ -34,11 +34,21 @@ def _frac(x: Rational) -> Fraction:
     raise TypeError(f"expected an exact rational, got {x!r}")
 
 
-def strict_int(x, name: str) -> int:
-    """x itself if it is an int and not a bool; validates label input."""
-    if type(x) is not int:
-        raise ValueError(f"{name} must be an integer, got {x!r}")
-    return x
+_REQUIRED = object()
+
+
+def json_field(data, key: str, kind: type, default=_REQUIRED):
+    """data[key] of a JSON object, of exactly type kind (a bool is not an int), or
+    default, if given, for a missing key; every JSON reader checks shapes here."""
+    if type(data) is not dict:
+        raise ValueError(f"expected a JSON object, got {data!r}")
+    if key not in data:
+        if default is _REQUIRED:
+            raise ValueError(f"field {key!r} is missing from {data!r}")
+        return default
+    if type(data[key]) is not kind:
+        raise ValueError(f"field {key!r} must be of type {kind.__name__}, got {data[key]!r}")
+    return data[key]
 
 
 @dataclass(frozen=True)
@@ -125,11 +135,10 @@ class Weight:
 
     @classmethod
     def from_json(cls, data: dict) -> "Weight":
-        an, ad = data["a"]
-        bn, bd = data["b"]
-        if any(type(n) is not int for n in (an, ad, bn, bd)) or 0 in (ad, bd):
+        parts = [json_field(data, key, list) for key in ("a", "b")]
+        if any([type(n) for n in p] != [int, int] or p[1] == 0 for p in parts):
             raise ValueError(f"weight components must be integers over nonzero denominators: {data!r}")
-        return cls(Fraction(an, ad), Fraction(bn, bd))
+        return cls(*(Fraction(*p) for p in parts))
 
 
 def as_weight(x) -> Weight:

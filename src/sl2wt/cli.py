@@ -1,9 +1,19 @@
 """Command-line front end.
 
-Labels are accepted either as JSON (the schema used for output) or in a
-compact syntax: D+(r,s)@l, D-(r,s)@l, L(r)@l, E(lam;r,s)@l on the affine
-side and M(r,s)xPi(l;lam) on the extended side.  Exact rationals are
-written p/q and the formal irrational is written w (e.g. 1/5+w).
+Labels are JSON in the schema used for output (see ``weight_cat`` and
+``local_cat``, whose readers are the only ones), or compact text that is
+shorthand for it:
+
+    D+(r,s)@l          {"cat":"C","flow":l,"base":{"type":"D+","r":r,"s":s}}
+    D-(r,s)@l          {"cat":"C","flow":l,"base":{"type":"D-","r":r,"s":s}}
+    L(r)@l             {"cat":"C","flow":l,"base":{"type":"L","r":r}}
+    E(lam;r,s)@l       {"cat":"C","flow":l,"base":{"type":"E","r":r,"s":s,"lam":lam}}
+    M(r,s)xPi(l;lam)   {"cat":"A","r":r,"s":s,"flow":l,"lam":lam}
+
+"@l" may be left out (flow 0); JSON D+ and D- need "s".  Every integer,
+in labels and in --level u/v, --flows a..b and --window, is ASCII -?[0-9]+.
+A weight lam is a signed sum of terms p, p/q and [p/q][*]w, where w is the
+formal irrational (e.g. 1/5+w); in JSON it is {"a":[p,q],"b":[p,q]}.
 
 Exit codes: 0 success, 1 failed check, 2 usage/validation error.
 """
@@ -16,13 +26,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .arithmetic import (
-    NotAdmissible,
-    OutOfKacTable,
-    Weight,
-    admissible_level,
-    kac_data,
-)
+from .arithmetic import Weight, admissible_level, kac_data
 from . import weight_cat as wc
 from . import local_cat as lc
 from . import functors as fn
@@ -30,77 +34,71 @@ from . import fusion as fu
 from . import sl2_oracle as so
 from .pipeline import SampleConfig, run_pipeline
 
+_INT = r"-?[0-9]+"
+_COMPACT = {
+    "C": re.compile(rf"(?P<type>D\+|D-|L|E)\((?:(?P<lam>[^;()]+);)?(?P<r>{_INT})(?:,(?P<s>{_INT}))?\)(?:@(?P<flow>{_INT}))?"),
+    "A": re.compile(rf"(?P<type>M)\((?P<r>{_INT}),(?P<s>{_INT})\)xPi\((?P<flow>{_INT});(?P<lam>[^;()]+)\)"),
+}
+
 
 def parse_weight(text: str) -> Weight:
-    s = text.replace(" ", "")
-    if not s:
-        raise ValueError("empty weight")
-    a = Fraction(0)
-    b = Fraction(0)
-    try:
-        for term in re.findall(r"[+-]?[^+-]+", s):
-            if term.endswith("w"):
-                coef = term[:-1].rstrip("*")
-                if coef in ("", "+"):
-                    b += 1
-                elif coef == "-":
-                    b -= 1
-                else:
-                    b += Fraction(coef)
-            else:
-                a += Fraction(term)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in weight {text!r}") from None
+    """a + b*w from a signed sum of terms p, p/q and [p/q][*]w."""
+    pieces = re.split(r"([+-])", text.replace(" ", ""))
+    pieces = pieces[1:] if pieces[0] == "" and len(pieces) > 1 else ["+"] + pieces
+    a = b = Fraction(0)
+    for sign, term in zip(pieces[::2], pieces[1::2]):
+        m = re.fullmatch(r"(?:([0-9]+)(?:/([0-9]+))?)?(\*?w)?", term)
+        if not (term and m):
+            raise ValueError(f"cannot parse weight {text!r}: bad term {term!r}")
+        p, q, w = m.groups()
+        if q is not None and int(q) == 0:
+            raise ValueError(f"zero denominator in weight {text!r}")
+        c = Fraction(int(p or 1), int(q or 1)) * (-1 if sign == "-" else 1)
+        a, b = (a, b + c) if w else (a + c, b)
     return Weight(a, b)
 
 
-_C_RE = re.compile(r"^(?P<kind>D\+|D-|L|E)\((?P<args>[^)]*)\)(?:@(?P<flow>-?\d+))?$")
-_A_RE = re.compile(r"^M\((?P<r>\d+),(?P<s>\d+)\)xPi\((?P<flow>-?\d+);(?P<lam>[^)]*)\)$")
+def _label_json(cat: str, text: str) -> dict:
+    """The JSON label schema for JSON or compact text of category cat (C or A)."""
+    text = text.strip()
+    if text.startswith("{"):
+        return json.loads(text)
+    m = _COMPACT[cat].fullmatch(text.replace(" ", ""))
+    kind = m and m["type"]
+    # lam belongs to E and M only, and only L goes without s
+    if not m or (m["lam"] is None) == (kind in ("E", "M")) or (m["s"] is None) != (kind == "L"):
+        raise ValueError(f"cannot parse {cat}-label {text!r}")
+    fields = {key: int(m[key]) for key in ("r", "s") if m[key] is not None}
+    if m["lam"] is not None:
+        fields["lam"] = parse_weight(m["lam"]).to_json()
+    flow = int(m["flow"] or 0)
+    if cat == "A":
+        return {"cat": "A", "flow": flow, **fields}
+    return {"cat": "C", "flow": flow, "base": {"type": kind, **fields}}
 
 
 def parse_clabel(level, text: str) -> wc.SimpleCLabel:
-    s = text.strip()
-    if s.startswith("{"):
-        return wc.label_from_json(level, json.loads(s))
-    m = _C_RE.match(s.replace(" ", ""))
-    if not m:
-        raise ValueError(f"cannot parse C-label {text!r}")
-    kind, flow = m.group("kind"), int(m.group("flow") or 0)
-    if kind == "E":
-        lam_text, rs = m.group("args").split(";")
-        r, s_ = (int(x) for x in rs.split(","))
-        return wc.typical(level, r, s_, parse_weight(lam_text), flow)
-    # L(r) is the alias D+(r,0)
-    args = [int(x) for x in m.group("args").split(",")] + ([0] if kind == "L" else [])
-    if len(args) != 2:
-        raise ValueError(f"cannot parse C-label {text!r}: wrong number of arguments")
-    return (wc.dminus if kind == "D-" else wc.dplus)(level, *args, flow)
+    return wc.label_from_json(level, _label_json("C", text))
 
 
 def parse_alabel(level, text: str) -> lc.SimpleALabel:
-    s = text.strip()
-    if s.startswith("{"):
-        return lc.label_from_json(level, json.loads(s))
-    m = _A_RE.match(s.replace(" ", ""))
-    if not m:
-        raise ValueError(f"cannot parse A-label {text!r}")
-    return lc.simple_a(
-        level, int(m.group("r")), int(m.group("s")), int(m.group("flow")), parse_weight(m.group("lam"))
-    )
+    return lc.label_from_json(level, _label_json("A", text))
 
 
 def parse_aobject(level, text: str) -> lc.AObject:
-    s = text.strip()
-    if s.startswith("{"):
-        return lc.aobject_from_json(level, json.loads(s))
-    return lc.ASimple(parse_alabel(level, s))
+    return lc.aobject_from_json(level, _label_json("A", text))
+
+
+def _ints(form: str, text: str, option: str) -> list:
+    """The integers of an option value written as form, each N an integer -?[0-9]+."""
+    m = re.fullmatch(re.escape(form).replace("N", f"({_INT})"), text.strip())
+    if not m:
+        raise ValueError(f"{option} expects {form} with N an ASCII integer, got {text!r}")
+    return [int(n) for n in m.groups()]
 
 
 def _level(args):
-    m = re.match(r"^(\d+)/(\d+)$", args.level.strip())
-    if not m:
-        raise NotAdmissible(f"--level expects u/v, got {args.level!r}")
-    return admissible_level(int(m.group(1)), int(m.group(2)))
+    return admissible_level(*_ints("N/N", args.level, "--level"))
 
 
 def _dump(data) -> None:
@@ -196,10 +194,7 @@ def _cmd_pipeline(args) -> int:
     level = _level(args)
     config = SampleConfig()
     if args.flows:
-        m = re.match(r"^(-?\d+)\.\.(-?\d+)$", args.flows)
-        if not m:
-            raise ValueError(f"--flows expects a..b, got {args.flows!r}")
-        lo, hi = int(m.group(1)), int(m.group(2))
+        lo, hi = _ints("N..N", args.flows, "--flows")
         config = SampleConfig(flows=tuple(range(lo, hi + 1)))
     report = run_pipeline(level, config)
     if args.json:
@@ -218,8 +213,9 @@ def _cmd_oracle(args) -> int:
         return 0 if ok else 1
     lam = parse_weight(args.lam)
     casimir = parse_weight(args.casimir)
-    window = so.build_relaxed(lam, casimir, args.sign, args.window)
-    points = so.reducibility_points(lam, casimir, args.sign, args.window)
+    (n,) = _ints("N", args.window, "--window")
+    window = so.build_relaxed(lam, casimir, args.sign, n)
+    points = so.reducibility_points(lam, casimir, args.sign, n)
     brackets = window.check_brackets()
     casimir_ok = window.check_casimir()
     print(f"reducibility points: {[str(p) for p in points] or 'none (irreducible over the window)'}")
@@ -269,7 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--lam", required=True)
     pr.add_argument("--casimir", required=True)
     pr.add_argument("--sign", choices=("minus", "plus"), default="minus")
-    pr.add_argument("--window", type=int, default=20)
+    pr.add_argument("--window", default="20")
     pr.set_defaults(func=_cmd_oracle)
     return parser
 
@@ -279,7 +275,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NotAdmissible, OutOfKacTable, wc.NotSimple, ValueError, KeyError) as exc:
+    except ValueError as exc:  # NotAdmissible, OutOfKacTable and NotSimple among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

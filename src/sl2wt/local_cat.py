@@ -22,9 +22,9 @@ from .arithmetic import (
     as_weight,
     check_rs,
     h_rs,
+    json_field,
     nu_rs,
     pi_conf_weight,
-    strict_int,
 )
 
 
@@ -180,6 +180,10 @@ class MObject:
 class ADirectSum:
     parts: Tuple["AObject", ...]
 
+    def __post_init__(self):
+        if len(self.parts) < 2:
+            raise ValueError(f"a direct sum needs at least two parts, got {len(self.parts)}")
+
     @property
     def layers(self):
         raise TypeError("direct sums carry no single Loewy filtration")
@@ -261,7 +265,9 @@ def comp_factors_a(level: AdmissibleLevel, x: AObject) -> GrothA:
 
 # -- JSON label schema --
 # {"cat": "A", "r": r, "s": s, "flow": l, "lam": Weight} for simples, and
-# {"cat": "A", "tag": "R" | "M" | "sum", ...} for catalogued objects.
+# {"cat": "A", "tag": "R" | "M" | "sum", ...} for catalogued objects; "flow"
+# defaults to 0.  label_from_json and aobject_from_json are the only readers
+# of A-labels and A-objects: the CLI turns its compact syntax into this schema.
 
 
 def label_to_json(x: SimpleALabel) -> dict:
@@ -269,10 +275,10 @@ def label_to_json(x: SimpleALabel) -> dict:
 
 
 def label_from_json(level: AdmissibleLevel, data: dict) -> SimpleALabel:
-    if data.get("cat") != "A" or "tag" in data:
+    if json_field(data, "cat", str) != "A" or "tag" in data:
         raise ValueError(f"not a simple A-label: {data!r}")
-    flow = strict_int(data.get("flow", 0), "flow")
-    return simple_a(level, data["r"], data["s"], flow, Weight.from_json(data["lam"]))
+    r, s, flow = json_field(data, "r", int), json_field(data, "s", int), json_field(data, "flow", int, 0)
+    return simple_a(level, r, s, flow, Weight.from_json(json_field(data, "lam", dict)))
 
 
 def aobject_to_json(x: AObject) -> dict:
@@ -288,19 +294,19 @@ def aobject_to_json(x: AObject) -> dict:
 
 
 def aobject_from_json(level: AdmissibleLevel, data: dict) -> AObject:
-    if data.get("cat") != "A":
+    if json_field(data, "cat", str) != "A":
         raise ValueError(f"not an A-object: {data!r}")
-    tag = data.get("tag")
+    tag = json_field(data, "tag", str, None)
     if tag is None:
         return ASimple(label_from_json(level, data))
-    flow = strict_int(data.get("flow", 0), "flow")
-    if tag == "R":
-        return build_R(level, data["r"], data["s"], Weight.from_json(data["lam"]), flow)
-    if tag == "M":
-        return build_M(level, data["r"], data["s"], flow)
     if tag == "sum":
-        return ADirectSum(tuple(aobject_from_json(level, p) for p in data["parts"]))
-    raise ValueError(f"unknown A-object tag {tag!r}")
+        return ADirectSum(tuple(aobject_from_json(level, p) for p in json_field(data, "parts", list)))
+    if tag not in ("R", "M"):
+        raise ValueError(f"unknown A-object tag {tag!r}")
+    r, s, flow = json_field(data, "r", int), json_field(data, "s", int), json_field(data, "flow", int, 0)
+    if tag == "R":
+        return build_R(level, r, s, Weight.from_json(json_field(data, "lam", dict)), flow)
+    return build_M(level, r, s, flow)
 
 
 def loewy_lines(x: AObject) -> List[str]:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Tuple
 
-from .arithmetic import AdmissibleLevel, Weight, as_weight, lam_rs, strict_int
+from .arithmetic import AdmissibleLevel, Weight, as_weight, lam_rs
 
 # Largest window N accepted by RelaxedWindow and reducibility_points.  The
 # matrices of a window hold 6N + 1 entries, so memory grows with N as time does.
@@ -220,8 +220,8 @@ def _check_model(sign: str, window: int) -> None:
     """Reject a sign other than minus/plus and a window outside [1, MAX_WINDOW]."""
     if sign not in ("minus", "plus"):
         raise ValueError(f"sign must be 'minus' or 'plus', got {sign!r}")
-    if not 1 <= strict_int(window, "window") <= MAX_WINDOW:
-        raise ValueError(f"window must be in [1, {MAX_WINDOW}], got {window}")
+    if type(window) is not int or not 1 <= window <= MAX_WINDOW:
+        raise ValueError(f"window must be an integer in [1, {MAX_WINDOW}], got {window!r}")
 
 
 def build_relaxed(lam, casimir, sign: str, window: int) -> RelaxedWindow:

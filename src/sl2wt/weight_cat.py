@@ -19,8 +19,8 @@ from .arithmetic import (
     Weight,
     as_weight,
     check_rs,
+    json_field,
     lam_rs,
-    strict_int,
 )
 
 
@@ -220,7 +220,9 @@ GrothC = Groth
 # -- JSON label schema --
 # {"cat": "C", "flow": l, "base": {"type": "D+", "r": r, "s": s}}
 # {"cat": "C", "flow": l, "base": {"type": "E", "r": r, "s": s, "lam": Weight}}
-# inputs may also use base types "D-" and "L"; they canonicalize on parse.
+# inputs may also use base types "D-" (with s) and "L" (r only); they
+# canonicalize on parse, and "flow" defaults to 0.  label_from_json is the
+# only reader of C-labels: the CLI turns its compact syntax into this schema.
 
 
 def label_to_json(x: SimpleCLabel) -> dict:
@@ -232,20 +234,20 @@ def label_to_json(x: SimpleCLabel) -> dict:
 
 
 def label_from_json(level: AdmissibleLevel, data: dict) -> SimpleCLabel:
-    if data.get("cat") != "C":
+    if json_field(data, "cat", str) != "C":
         raise ValueError(f"not a C-label: {data!r}")
-    flow = strict_int(data.get("flow", 0), "flow")
-    base = data["base"]
-    kind = base["type"]
-    if kind == "D+":
-        return dplus(level, base["r"], base.get("s", 0), flow)
-    if kind == "D-":
-        return dminus(level, base["r"], base.get("s", 0), flow)
+    flow = json_field(data, "flow", int, 0)
+    base = json_field(data, "base", dict)
+    kind = json_field(base, "type", str)
+    if kind not in ("D+", "D-", "L", "E"):
+        raise ValueError(f"unknown C-label base type {kind!r}")
+    r = json_field(base, "r", int)
     if kind == "L":
-        return lr0(level, base["r"], flow)
+        return lr0(level, r, flow)
+    s = json_field(base, "s", int)
     if kind == "E":
-        return typical(level, base["r"], base["s"], Weight.from_json(base["lam"]), flow)
-    raise ValueError(f"unknown C-label base type {kind!r}")
+        return typical(level, r, s, Weight.from_json(json_field(base, "lam", dict)), flow)
+    return (dplus if kind == "D+" else dminus)(level, r, s, flow)
 
 
 def cobject_to_json(x: CObject) -> dict:

@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sl2wt import OMEGA, admissible_level, wt
 from sl2wt import weight_cat as wc
@@ -92,6 +95,34 @@ def _c_json(flow=0, **base):
         ("dual", "--level", "5/3", "--label", _a_json(tag="M", s=2, flow=1.5)),
         ("pipeline", "--level", "5/3", "--flows=5..1"),
         ("oracle", "relaxed", "--lam", "0", "--casimir", "0", "--window", str(so.MAX_WINDOW + 1)),
+        # malformed JSON shapes
+        ("induce", "--level", "5/3", "--label", json.dumps({"cat": "C", "flow": 0, "base": [1]})),
+        ("restrict", "--level", "5/3", "--label", _a_json(lam=5)),
+        ("restrict", "--level", "5/3", "--label", _a_json(lam={"a": 5, "b": [0, 1]})),
+        ("dual", "--level", "5/3", "--label", json.dumps({"cat": "A", "tag": "sum", "parts": 5})),
+        ("dual", "--level", "5/3", "--label", json.dumps({"cat": "A", "tag": "sum", "parts": [5]})),
+        ("restrict", "--level", "5/3", "--label", _a_json(lam=[1, 3])),
+        ("dual", "--level", "5/3", "--label", json.dumps({"cat": "A", "tag": "R", "r": 1, "s": 1, "flow": 0})),
+        ("induce", "--level", "5/3", "--label", json.dumps({"cat": "C", "base": {"type": "D+", "r": 1}})),
+        # integers outside the ASCII grammar -?[0-9]+
+        ("induce", "--level", "5/3", "--label", "D+(+1,1)"),
+        ("induce", "--level", "5/3", "--label", "D+(0_1,1)"),
+        ("induce", "--level", "5/3", "--label", "D+(1,1)@\u0661"),
+        ("kac", "--level", "\u0665/\u0663"),
+        ("pipeline", "--level", "5/3", "--flows=\u0660..\u0660"),
+        ("oracle", "relaxed", "--lam", "0", "--casimir", "0", "--window", "1_0"),
+        ("oracle", "relaxed", "--lam", "\u0661/\u0663", "--casimir", "0"),
+        ("oracle", "relaxed", "--lam", "1.5", "--casimir", "0"),
+        # a direct sum has at least two parts
+        ("dual", "--level", "5/3", "--label", json.dumps({"cat": "A", "tag": "sum", "parts": []})),
+        ("dual", "--level", "5/3", "--label", json.dumps({"cat": "A", "tag": "sum", "parts": [json.loads(_a_json())]})),
+        # lam belongs to E only, and only L goes without s
+        ("induce", "--level", "5/3", "--label", "L(1,2)"),
+        ("induce", "--level", "5/3", "--label", "D+(w;1,1)"),
+        ("induce", "--level", "5/3", "--label", "E(1,2)"),
+        # a bool is not an int, and an unknown base type is refused
+        ("restrict", "--level", "5/3", "--label", _a_json(flow=True)),
+        ("induce", "--level", "5/3", "--label", _c_json(type="Z")),
     ],
 )
 def test_invalid_input_is_a_usage_error(capsys, argv):
@@ -188,3 +219,73 @@ def test_json_output_round_trips_byte_identically(capsys):
         label = wc.label_from_json(lv, label_blob)
         assert wc.label_to_json(label) == label_blob
         assert mult >= 1
+
+
+_SEEDS = {  # per category: compact text and JSON of valid labels
+    "C": ["D+(1,1)@0", "D-(2,1)@-1", "L(1)@2", "E(1/5+w;1,2)@-1", "E(w;2,1)", _c_json(), _c_json(type="E", lam={"a": [1, 3], "b": [0, 1]})],
+    "A": ["M(1,2)xPi(1;-5/6)", "M(2,1)xPi(-2;w)", _a_json(), _a_json(tag="R"), _a_json(tag="M", s=2)],
+}
+_FUZZ_CHARS = "0123456789+-/*,;()@ wxPiMEDL{}\"_.\u0661\u0663"
+_JSON_KEYS = ["cat", "flow", "base", "type", "r", "s", "lam", "a", "b", "tag", "parts"]
+_JSON_LEAVES = st.sampled_from(
+    ["C", "A", "D+", "D-", "L", "E", "R", "M", "sum", 0, 1, 2, -1, True, 1.5, [1, 3], [1, 0], {"a": [1, 3], "b": [0, 1]}]
+) | st.none() | st.integers() | st.floats() | st.text(max_size=3)
+_json_values = st.recursive(
+    _JSON_LEAVES,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.sampled_from(_JSON_KEYS), kids, max_size=5),
+    max_leaves=10,
+)
+
+
+@st.composite
+def _mutated_label(draw, cat):
+    text = draw(st.sampled_from(_SEEDS[cat]))
+    if text.startswith("{") and draw(st.booleans()):
+        # replace or delete one field, at the top or in base or lam
+        label = json.loads(text)
+        where = draw(st.sampled_from([label, label.get("base", label), label.get("lam", label)]))
+        key = draw(st.sampled_from(sorted(where) + ["s"]))
+        if draw(st.booleans()):
+            where.pop(key, None)
+        else:
+            where[key] = draw(_json_values)
+        return json.dumps(label)
+    chars = list(text)
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(chars) - 1))
+        op = draw(st.sampled_from(["insert", "replace", "delete"]))
+        chars[i:i + (op != "insert")] = [] if op == "delete" else [draw(st.sampled_from(_FUZZ_CHARS))]
+    return "".join(chars)
+
+
+@st.composite
+def _fuzz_argv(draw):
+    cmd = draw(st.sampled_from(["induce", "restrict", "dual", "fuse"]))
+    argv = [cmd, "--level", draw(st.sampled_from(["3/2", "5/3", "7/4"]))]
+    names = ["--lhs", "--rhs"] if cmd == "fuse" else ["--label"]
+    cat = "C" if cmd in ("induce", "fuse") else "A"
+    for name in names:  # one label in four is an arbitrary JSON value
+        text = draw(_json_values.map(json.dumps) if draw(st.integers(0, 3)) == 0 else _mutated_label(cat))
+        argv.append(f"{name}={text}")
+    if cmd == "dual" and draw(st.booleans()):
+        argv.append("--gv")
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_fuzz_argv())
+@example(argv=["restrict", "--level", "5/3", "--label=" + _a_json(lam=[1, 3])])
+@example(argv=["dual", "--level", "5/3", "--label=" + json.dumps({"cat": "A", "tag": "sum", "parts": [5]})])
+def test_cli_fuzz_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code == 2:
+        assert "error:" in err.getvalue()

@@ -1,0 +1,85 @@
+"""Hypothesis properties of labels: text and JSON round trips, duals as
+involutions, and the contragredient against spectral flow."""
+
+import json
+from fractions import Fraction as F
+
+from hypothesis import assume, given, settings, strategies as st
+
+from sl2wt import Weight, admissible_level
+from sl2wt import weight_cat as wc
+from sl2wt import local_cat as lc
+from sl2wt.cli import parse_alabel, parse_clabel
+
+from conftest import TEST_LEVELS
+
+# rational lam (b = 0) and w-generic lam (b != 0) alike
+lams = st.builds(
+    Weight,
+    st.fractions(-6, 6, max_denominator=12),
+    st.just(F(0)) | st.fractions(-3, 3, max_denominator=4).filter(bool),
+)
+flows = st.integers(-5, 5)
+
+
+@st.composite
+def c_labels(draw, level):
+    kind = draw(st.sampled_from(["atypical", "dminus", "typical"]))
+    r, flow = draw(st.integers(1, level.u - 1)), draw(flows)
+    if kind == "atypical":
+        return wc.atypical(level, r, draw(st.integers(1, level.v - 1)), flow)
+    if kind == "dminus":
+        return wc.dminus(level, r, draw(st.integers(0, level.v - 1)), flow)
+    try:
+        return wc.typical(level, r, draw(st.integers(1, level.v - 1)), draw(lams), flow)
+    except wc.NotSimple:
+        assume(False)
+
+
+def a_labels(level):
+    return st.builds(
+        lc.simple_a, st.just(level), st.integers(1, level.u - 1), st.integers(1, level.v - 1), flows, lams
+    )
+
+
+@st.composite
+def a_objects(draw, level, depth=1):
+    kind = draw(st.sampled_from(["simple", "R", "M"] + (["sum"] if depth else [])))
+    r, flow = draw(st.integers(1, level.u - 1)), draw(flows)
+    if kind == "simple":
+        return lc.ASimple(draw(a_labels(level)))
+    if kind == "R":
+        return lc.build_R(level, r, draw(st.integers(1, level.v - 1)), draw(lams), flow)
+    if kind == "M":
+        return lc.build_M(level, r, draw(st.integers(1, level.v)), flow)
+    return lc.ADirectSum(tuple(draw(st.lists(a_objects(level, 0), min_size=2, max_size=3))))
+
+
+def _via_json_text(to_json, from_json, level, x):
+    return from_json(level, json.loads(json.dumps(to_json(x))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), uv=st.sampled_from(TEST_LEVELS))
+def test_labels_round_trip_through_text_and_json(data, uv):
+    level = admissible_level(*uv)
+    x, y = data.draw(c_labels(level)), data.draw(a_labels(level))
+    obj = data.draw(a_objects(level))
+    assert parse_clabel(level, str(x)) == x
+    assert parse_alabel(level, str(y)) == y
+    assert _via_json_text(wc.label_to_json, wc.label_from_json, level, x) == x
+    assert _via_json_text(lc.label_to_json, lc.label_from_json, level, y) == y
+    assert _via_json_text(lc.aobject_to_json, lc.aobject_from_json, level, obj) == obj
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), uv=st.sampled_from(TEST_LEVELS), m=st.integers(-4, 4))
+def test_duals_are_involutions(data, uv, m):
+    level = admissible_level(*uv)
+    x, y = data.draw(c_labels(level)), data.draw(a_labels(level))
+    obj = data.draw(a_objects(level))
+    xd = wc.contragredient(level, x)
+    assert wc.contragredient(level, xd) == x
+    assert wc.contragredient(level, wc.spectral_flow(x, m)) == wc.spectral_flow(xd, -m)
+    assert lc.rigid_dual(level, lc.rigid_dual(level, y)) == y
+    assert lc.rigid_dual(level, lc.rigid_dual(level, obj)) == obj
