@@ -4,16 +4,20 @@ An admissible level is k = -2 + u/v with coprime u, v >= 2 (non-integral
 levels only).  Everything downstream is computed exactly: rational numbers
 are ``fractions.Fraction`` and generic weight parameters live in the rank-2
 space Q + Q*w, where w is a fixed formal symbol treated as irrational and
-not rationally related to any other constant in play.  The Kac-label check
-and the Grothendieck-group class that both categories use live here too.
+not rationally related to any other constant in play.  A :class:`Weight`
+stores (p + q*w)/d as three integers with d > 0 and gcd(p, q, d) = 1, so its
+arithmetic, hashing and coset reduction run on integers and build no
+Fraction.  The Kac-label check and the Grothendieck-group class that both
+categories use live here too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Hashable, Optional, Union
+from functools import cached_property
+from typing import Callable, Dict, Hashable, Optional, Tuple, Union
 
 Rational = Union[int, Fraction]
 
@@ -26,11 +30,12 @@ class OutOfKacTable(ValueError):
     """Kac label (r, s) lies outside the allowed grid."""
 
 
-def _frac(x: Rational) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+def _ratio(x: Rational) -> Tuple[int, int]:
+    """(numerator, denominator) of an exact rational."""
     if isinstance(x, int):
-        return Fraction(x)
+        return x, 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
     raise TypeError(f"expected an exact rational, got {x!r}")
 
 
@@ -51,62 +56,118 @@ def json_field(data, key: str, kind: type, default=_REQUIRED):
     return data[key]
 
 
-@dataclass(frozen=True)
 class Weight:
-    """An exact element a + b*w of Q + Q*w.
+    """An exact element (p + q*w)/d of Q + Q*w, stored as three integers.
 
-    Equality and hashing are componentwise; ``b == 0`` means the weight is an
-    honest rational.  Only the rational part is ever reduced by :meth:`reduce`,
-    so a weight with nonzero w-part never collides with a rational coset.
+    The triple is normalized to d > 0 and gcd(p, q, d) = 1, which makes d the
+    lcm of the denominators of the two components, so equal weights have
+    equal triples: equality, hashing, the predicates, :meth:`reduce` and the
+    linear operations work on integers only.  ``a`` and ``b`` read the
+    components back as Fractions, the weight being a + b*w; ``b == 0`` means
+    the weight is an honest rational.  Only the rational part is ever reduced
+    by :meth:`reduce`, so a weight with nonzero w-part never collides with a
+    rational coset.
+
+    ``Weight(a, b)`` takes exact rationals; ``Weight(p, q, d)`` takes the
+    integers of (p + q*w)/d with d != 0 and normalizes them.  Instances are
+    immutable.
     """
 
-    a: Fraction = Fraction(0)
-    b: Fraction = Fraction(0)
+    __slots__ = ("p", "q", "d")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", _frac(self.a))
-        object.__setattr__(self, "b", _frac(self.b))
+    def __init__(self, a: Rational = 0, b: Rational = 0, d: Optional[int] = None):
+        if d is None:
+            (na, da), (nb, db) = _ratio(a), _ratio(b)
+            d = da * db // math.gcd(da, db)
+            _set_p(self, na * (d // da))
+            _set_q(self, nb * (d // db))
+            _set_d(self, d)
+            return
+        if d == 0:
+            raise ZeroDivisionError(f"Weight({a}, {b}, 0)")
+        g = math.gcd(a, b, d)
+        if d < 0:
+            g = -g
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+        _set_p(self, a)
+        _set_q(self, b)
+        _set_d(self, d)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (Weight, (self.p, self.q, self.d))
+
+    @property
+    def a(self) -> Fraction:
+        """The rational part."""
+        return Fraction(self.p, self.d)
+
+    @property
+    def b(self) -> Fraction:
+        """The coefficient of w."""
+        return Fraction(self.q, self.d)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Weight:
+            return NotImplemented
+        return self.p == other.p and self.q == other.q and self.d == other.d
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.q, self.d))
+
+    def __repr__(self) -> str:
+        return f"Weight(a={self.a!r}, b={self.b!r})"
 
     # -- linear arithmetic (scalars are exact rationals) --
 
     def __add__(self, other) -> "Weight":
-        o = as_weight(other)
-        return Weight(self.a + o.a, self.b + o.b)
+        p, q, d = _triple(other)
+        if d == self.d:
+            return Weight(self.p + p, self.q + q, d)
+        return Weight(self.p * d + p * self.d, self.q * d + q * self.d, self.d * d)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Weight":
-        o = as_weight(other)
-        return Weight(self.a - o.a, self.b - o.b)
+        p, q, d = _triple(other)
+        if d == self.d:
+            return Weight(self.p - p, self.q - q, d)
+        return Weight(self.p * d - p * self.d, self.q * d - q * self.d, self.d * d)
 
     def __rsub__(self, other) -> "Weight":
-        return as_weight(other) - self
+        return -self + other
 
     def __neg__(self) -> "Weight":
-        return Weight(-self.a, -self.b)
+        return Weight(-self.p, -self.q, self.d)
 
     def __mul__(self, scalar: Rational) -> "Weight":
-        c = _frac(scalar)
-        return Weight(self.a * c, self.b * c)
+        n, m = _ratio(scalar)
+        return Weight(self.p * n, self.q * n, self.d * m)
 
     __rmul__ = __mul__
 
     def __bool__(self) -> bool:
-        return bool(self.a) or bool(self.b)
+        return self.p != 0 or self.q != 0
 
     # -- coset reduction and predicates --
 
     def reduce(self, m: int) -> "Weight":
         """Normalize the rational part into [0, m); the w-part is untouched."""
-        return Weight(self.a - math.floor(self.a / m) * m, self.b)
+        return Weight(self.p % (m * self.d), self.q, self.d)
 
     @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self.q == 0
 
     @property
     def is_integral(self) -> bool:
-        return self.b == 0 and self.a.denominator == 1
+        return self.q == 0 and self.d == 1
 
     def sort_key(self):
         return (self.a, self.b)
@@ -114,23 +175,25 @@ class Weight:
     # -- I/O --
 
     def __str__(self) -> str:
-        if self.b == 0:
-            return str(self.a)
-        if self.b == 1:
+        a, b = self.a, self.b
+        if b == 0:
+            return str(a)
+        if b == 1:
             wpart = "w"
-        elif self.b == -1:
+        elif b == -1:
             wpart = "-w"
         else:
-            wpart = f"{self.b}w"
-        if self.a == 0:
+            wpart = f"{b}w"
+        if a == 0:
             return wpart
-        sign = "+" if self.b > 0 else ""
-        return f"{self.a}{sign}{wpart}"
+        sign = "+" if b > 0 else ""
+        return f"{a}{sign}{wpart}"
 
     def to_json(self) -> dict:
+        ga, gb = math.gcd(self.p, self.d), math.gcd(self.q, self.d)
         return {
-            "a": [self.a.numerator, self.a.denominator],
-            "b": [self.b.numerator, self.b.denominator],
+            "a": [self.p // ga, self.d // ga],
+            "b": [self.q // gb, self.d // gb],
         }
 
     @classmethod
@@ -138,21 +201,32 @@ class Weight:
         parts = [json_field(data, key, list) for key in ("a", "b")]
         if any([type(n) for n in p] != [int, int] or p[1] == 0 for p in parts):
             raise ValueError(f"weight components must be integers over nonzero denominators: {data!r}")
-        return cls(*(Fraction(*p) for p in parts))
+        (na, da), (nb, db) = parts
+        return cls(na * db, nb * da, da * db)
+
+
+# the slot setters Weight.__init__ writes through, since __setattr__ refuses
+_set_p, _set_q, _set_d = (vars(Weight)[name].__set__ for name in Weight.__slots__)
+
+
+def _triple(x: Union[Weight, Rational]) -> Tuple[int, int, int]:
+    """(p, q, d) of a weight or an exact rational."""
+    if x.__class__ is Weight:
+        return x.p, x.q, x.d
+    n, m = _ratio(x)
+    return n, 0, m
 
 
 def as_weight(x) -> Weight:
-    if isinstance(x, Weight):
-        return x
-    return Weight(_frac(x))
+    return x if isinstance(x, Weight) else Weight(x)
 
 
 #: The formal irrational generator of the w-part.
-OMEGA = Weight(Fraction(0), Fraction(1))
+OMEGA = Weight(0, 1)
 
 
 def wt(a: Rational, b: Rational = 0) -> Weight:
-    return Weight(_frac(a), _frac(b))
+    return Weight(a, b)
 
 
 @dataclass(frozen=True)
@@ -170,11 +244,12 @@ class AdmissibleLevel:
                 f"(u, v) = ({self.u}, {self.v}) is not coprime with u, v >= 2"
             )
 
-    @property
+    # t and k are read on every Kac-table and Pi-sector step: build them once
+    @cached_property
     def t(self) -> Fraction:
         return Fraction(self.u, self.v)
 
-    @property
+    @cached_property
     def k(self) -> Fraction:
         return self.t - 2
 
@@ -197,7 +272,7 @@ def admissible_level(u: int, v: int) -> AdmissibleLevel:
 
 def lam_rs(level: AdmissibleLevel, r: int, s: int) -> Fraction:
     """lambda_{r,s} = r - 1 - t*s."""
-    return r - 1 - level.t * s
+    return Fraction((r - 1) * level.v - level.u * s, level.v)
 
 
 def delta_rs(level: AdmissibleLevel, r: int, s: int) -> Fraction:
@@ -208,7 +283,7 @@ def delta_rs(level: AdmissibleLevel, r: int, s: int) -> Fraction:
 
 def nu_rs(level: AdmissibleLevel, r: int, s: int) -> Fraction:
     """nu_{r,s} = (r - 1 - t*(s-1)) / 2."""
-    return Fraction(r - 1 - level.t * (s - 1), 2)
+    return Fraction((r - 1) * level.v - level.u * (s - 1), 2 * level.v)
 
 
 def h_rs(level: AdmissibleLevel, r: int, s: int) -> Fraction:

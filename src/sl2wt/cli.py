@@ -77,16 +77,25 @@ def _label_json(cat: str, text: str) -> dict:
     return {"cat": "C", "flow": flow, "base": {"type": kind, **fields}}
 
 
+def _read_label(reader, level, cat: str, text: str):
+    """reader applied to the JSON schema of text; nesting too deep for the
+    JSON decoder or the recursive readers is a usage error."""
+    try:
+        return reader(level, _label_json(cat, text))
+    except RecursionError:
+        raise ValueError(f"{cat}-label is nested too deeply to read") from None
+
+
 def parse_clabel(level, text: str) -> wc.SimpleCLabel:
-    return wc.label_from_json(level, _label_json("C", text))
+    return _read_label(wc.label_from_json, level, "C", text)
 
 
 def parse_alabel(level, text: str) -> lc.SimpleALabel:
-    return lc.label_from_json(level, _label_json("A", text))
+    return _read_label(lc.label_from_json, level, "A", text)
 
 
 def parse_aobject(level, text: str) -> lc.AObject:
-    return lc.aobject_from_json(level, _label_json("A", text))
+    return _read_label(lc.aobject_from_json, level, "A", text)
 
 
 def _ints(form: str, text: str, option: str) -> list:

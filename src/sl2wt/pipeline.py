@@ -47,12 +47,17 @@ class SampleConfig:
 @dataclass(frozen=True)
 class MultCheck:
     """One locality count: the multiplicity of ``label`` in the direct route's
-    class, and whether the direct and the ring route gave the same class."""
+    class, and the direct route's class minus the ring route's, which is zero
+    when the two routes agree."""
 
     label: object
     expected: int
     got: int
-    routes_agree: bool
+    difference: wc.GrothC
+
+    @property
+    def routes_agree(self) -> bool:
+        return self.difference.is_zero
 
     @property
     def passed(self) -> bool:
@@ -60,7 +65,7 @@ class MultCheck:
 
     def failures(self) -> List[str]:
         """The sub-checks that failed, in words."""
-        out = [] if self.routes_agree else ["routes disagree"]
+        out = [] if self.routes_agree else [f"routes disagree: direct - ring = {self.difference}"]
         if self.got != self.expected:
             out.append(f"multiplicity expected {self.expected}, got {self.got}")
         return out
@@ -249,7 +254,7 @@ def _step2(level: AdmissibleLevel, config: SampleConfig) -> Step2:
             y = fn.tau_tilde(level, x)
             direct = fu.a_tensor_restriction(level, y)
             via_ring = fu.a_tensor_restriction_via_ring(level, y)
-            atyp.append(MultCheck(x, 2, direct.multiplicity(x), direct == via_ring))
+            atyp.append(MultCheck(x, 2, direct.multiplicity(x), direct - via_ring))
             for flow in config.flows:
                 for lam in config.lambda_samples:
                     y = lc.simple_a(level, r, s, flow, lam)
@@ -259,7 +264,7 @@ def _step2(level: AdmissibleLevel, config: SampleConfig) -> Step2:
                     z = res.label
                     direct = fu.a_tensor_restriction(level, y)
                     via_ring = fu.a_tensor_restriction_via_ring(level, y)
-                    typ.append(MultCheck(z, 1, direct.multiplicity(z), direct == via_ring))
+                    typ.append(MultCheck(z, 1, direct.multiplicity(z), direct - via_ring))
     return Step2(tuple(typ), tuple(atyp))
 
 

@@ -66,11 +66,10 @@ def typical(level: AdmissibleLevel, r: int, s: int, lam, flow: int = 0) -> Simpl
     """
     check_rs(level, r, s)
     w = as_weight(lam).reduce(2)
-    for sign in (1, -1):
-        if not (w - sign * lam_rs(level, r, s)).reduce(2):
-            raise NotSimple(
-                f"E({w};{r},{s}) is reducible: lam = {'+' if sign > 0 else '-'}lambda_{{r,s}} mod 2Z"
-            )
+    lam_r = lam_rs(level, r, s)
+    for sign, gap in (("+", w - lam_r), ("-", w + lam_r)):
+        if not gap.reduce(2):
+            raise NotSimple(f"E({w};{r},{s}) is reducible: lam = {sign}lambda_{{r,s}} mod 2Z")
     r, s = min((r, s), (level.u - r, level.v - s))
     return SimpleCLabel(flow, r, s, w)
 

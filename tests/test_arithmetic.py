@@ -1,6 +1,10 @@
+import copy
+import pickle
 from fractions import Fraction as F
+from math import floor, gcd
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sl2wt import (
     OMEGA,
@@ -128,3 +132,110 @@ def test_weight_json_round_trip():
 
             assert gcd(num, den) == 1
         assert Weight.from_json(data) == x
+
+
+# -- the integer Weight against a (Fraction, Fraction) reference model --
+
+_fractions = st.fractions(min_value=-40, max_value=40, max_denominator=24)
+_pairs = st.tuples(_fractions, _fractions | st.just(F(0)))
+
+
+def _model_str(a, b):
+    """The rendering of a + b*w, written on the pair."""
+    if b == 0:
+        return str(a)
+    wpart = "w" if b == 1 else "-w" if b == -1 else f"{b}w"
+    if a == 0:
+        return wpart
+    return f"{a}{'+' if b > 0 else ''}{wpart}"
+
+
+def _check_against(x, pair):
+    a, b = pair
+    assert (x.a, x.b) == (a, b)
+    assert type(x.a) is F and type(x.b) is F
+    assert x.d > 0 and gcd(x.p, x.q, x.d) == 1
+    # normalized triples are unique: the pair fixes them
+    assert x == Weight(a, b) and hash(x) == hash(Weight(a, b))
+    assert x.is_rational == (b == 0)
+    assert x.is_integral == (b == 0 and a.denominator == 1)
+    assert bool(x) == (a != 0 or b != 0)
+    assert str(x) == _model_str(a, b)
+    assert x.to_json() == {"a": [a.numerator, a.denominator], "b": [b.numerator, b.denominator]}
+    assert Weight.from_json(x.to_json()) == x
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pairs, _pairs, st.integers(-30, 30), _fractions)
+def test_weight_matches_fraction_pair_model(xp, yp, n, c):
+    (a1, b1), (a2, b2) = xp, yp
+    x, y = Weight(a1, b1), Weight(a2, b2)
+    _check_against(x, xp)
+    _check_against(x + y, (a1 + a2, b1 + b2))
+    _check_against(x - y, (a1 - a2, b1 - b2))
+    _check_against(-x, (-a1, -b1))
+    for k in (n, c):
+        _check_against(x * k, (a1 * k, b1 * k))
+        _check_against(k * x, (a1 * k, b1 * k))
+        _check_against(x + k, (a1 + k, b1))
+        _check_against(k + x, (a1 + k, b1))
+        _check_against(x - k, (a1 - k, b1))
+        _check_against(k - x, (k - a1, -b1))
+    for m in (1, 2):
+        _check_against(x.reduce(m), (a1 - floor(a1 / m) * m, b1))
+    assert (x == y) == (xp == yp)
+    if x == y:
+        assert hash(x) == hash(y)
+
+
+@given(st.integers(-60, 60), st.integers(-60, 60), st.integers(-60, 60).filter(bool), st.integers(1, 6))
+@example(2, 1, 2, 1)  # (2 + w)/2: gcd(p, q, d) = 1 and d | p, yet not integral
+@example(2, 0, 2, 1)  # 2/2 = 1 is integral
+@example(0, 0, -5, 1)
+def test_weight_triples_normalize(p, q, d, k):
+    x = Weight(p, q, d)
+    _check_against(x, (F(p, d), F(q, d)))
+    # every multiple of a triple is the same weight
+    scaled = Weight(k * p, k * q, k * d)
+    assert scaled == x and hash(scaled) == hash(x)
+    assert (scaled.p, scaled.q, scaled.d) == (x.p, x.q, x.d)
+
+
+def test_weight_integrality_trap():
+    trap = Weight(1, F(1, 2))  # (2 + w)/2
+    assert (trap.p, trap.q, trap.d) == (2, 1, 2)
+    assert not trap.is_integral and not trap.is_rational
+    assert (trap - OMEGA * F(1, 2)).is_integral
+
+
+@given(st.lists(_pairs, max_size=12))
+def test_weight_sort_key_orders_as_the_pair(pairs):
+    weights = [Weight(a, b) for a, b in pairs]
+    by_key = sorted(weights, key=lambda x: x.sort_key())
+    assert [(x.a, x.b) for x in by_key] == sorted(pairs)
+
+
+def test_weight_is_immutable_and_copyable():
+    x = wt(F(3, 4), F(-1, 6))
+    with pytest.raises(AttributeError):
+        x.p = 1
+    with pytest.raises(AttributeError):
+        del x.d
+    assert copy.copy(x) == x and pickle.loads(pickle.dumps(x)) == x
+    assert repr(x) == "Weight(a=Fraction(3, 4), b=Fraction(-1, 6))"
+
+
+def test_weight_hot_path_builds_no_fraction(monkeypatch):
+    x, twin, y, c = wt(F(5, 6), F(-2, 3)), Weight(-5, 4, -6), wt(F(7, 4)), F(3, 8)
+    table = {x: "x"}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(F, "__new__", refuse)
+    assert x + y == y + x and x - y == -(y - x)
+    assert x + c == c + x and x - c == -(c - x) and x + 2 == 2 + x
+    assert x * 3 == 3 * x and x * c == c * x
+    assert x.reduce(1) == x.reduce(2).reduce(1)
+    assert twin == x and hash(twin) == hash(x) and table[twin] == "x"
+    assert not x.is_integral and not x.is_rational and bool(x)

@@ -78,6 +78,12 @@ def _c_json(flow=0, **base):
     return json.dumps({"cat": "C", "flow": flow, "base": {"type": "D+", "r": 1, "s": 1, **base}})
 
 
+def _nested_sum(depth):
+    """An A-object sum whose first part is a sum, depth times over, built as text."""
+    head = '{"cat":"A","tag":"sum","parts":['
+    return head * depth + _a_json() + ("," + _a_json() + "]}") * depth
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -123,6 +129,9 @@ def _c_json(flow=0, **base):
         # a bool is not an int, and an unknown base type is refused
         ("restrict", "--level", "5/3", "--label", _a_json(flow=True)),
         ("induce", "--level", "5/3", "--label", _c_json(type="Z")),
+        # nesting deeper than the readers recurse
+        ("dual", "--level", "5/3", "--label", _nested_sum(600)),
+        ("restrict", "--level", "5/3", "--label", '{"cat":"A","lam":' + "[" * 100_000),
     ],
 )
 def test_invalid_input_is_a_usage_error(capsys, argv):

@@ -6,6 +6,7 @@ import pytest
 from sl2wt import OMEGA, admissible_level, wt
 from sl2wt import weight_cat as wc
 from sl2wt import local_cat as lc
+from sl2wt import fusion as fu
 from sl2wt.pipeline import (
     MultCheck,
     SampleConfig,
@@ -60,10 +61,31 @@ def test_pipeline_corrupted_fusion_fails_step2(monkeypatch):
 def test_mult_check_names_the_failed_sub_check():
     lv = admissible_level(5, 3)
     x = wc.atypical(lv, 1, 1, 0)
-    assert MultCheck(x, 2, 2, True).passed
-    assert MultCheck(x, 2, 2, False).failures() == ["routes disagree"]
-    assert MultCheck(x, 2, 1, True).failures() == ["multiplicity expected 2, got 1"]
-    assert not MultCheck(x, 2, 1, True).passed
+    agree, off = wc.GrothC(), wc.GrothC.of(x) - wc.GrothC.of(wc.atypical(lv, 2, 1, 1))
+    assert MultCheck(x, 2, 2, agree).passed
+    assert MultCheck(x, 2, 2, off).failures() == ["routes disagree: direct - ring = D+(1,1)@0 + -1*D+(2,1)@1"]
+    assert MultCheck(x, 2, 1, agree).failures() == ["multiplicity expected 2, got 1"]
+    assert not MultCheck(x, 2, 1, agree).passed
+
+
+def test_step2_failure_prints_the_route_difference(monkeypatch):
+    lv = admissible_level(5, 3)
+    marker = wc.atypical(lv, 1, 1, 7)
+    via_ring = fu.a_tensor_restriction_via_ring
+
+    # the ring route gains one stray copy of marker on every label
+    monkeypatch.setattr(fu, "a_tensor_restriction_via_ring",
+                        lambda level, y: via_ring(level, y) + wc.GrothC.of(marker))
+    report = run_pipeline(lv)
+    assert not report.step2.passed
+    checks = report.step2.typical_multiplicity_checks + report.step2.atypical_multiplicity_checks
+    assert all(c.difference == -1 * wc.GrothC.of(marker) for c in checks)
+    assert all(c.got == c.expected for c in checks)  # only the routes disagree
+    x = report.step2.atypical_multiplicity_checks[0].label
+    assert f"    FAIL {x}: routes disagree: direct - ring = -1*D+(1,1)@7" in report.to_text().splitlines()
+    # the JSON record is unchanged: the difference stays out of it
+    data = report.to_json()["step2"]["atypical_multiplicity_checks"]
+    assert all(set(c) == {"label", "expected", "got", "pass"} for c in data)
 
 
 def test_omega_always_sampled():
