@@ -293,14 +293,24 @@ def aobject_to_json(x: AObject) -> dict:
     raise TypeError(f"not a catalogued object: {x!r}")
 
 
-def aobject_from_json(level: AdmissibleLevel, data: dict) -> AObject:
+# Deepest nesting of direct sums the reader accepts.  str, rigid_dual and
+# aobject_to_json recurse about three frames per level, so a sum this deep
+# stays well inside Python's default recursion limit of 1000.
+MAX_SUM_DEPTH = 100
+
+
+def aobject_from_json(level: AdmissibleLevel, data: dict, depth: int = 0) -> AObject:
+    """The A-object of data; depth counts the sums that enclose it."""
     if json_field(data, "cat", str) != "A":
         raise ValueError(f"not an A-object: {data!r}")
     tag = json_field(data, "tag", str, None)
     if tag is None:
         return ASimple(label_from_json(level, data))
     if tag == "sum":
-        return ADirectSum(tuple(aobject_from_json(level, p) for p in json_field(data, "parts", list)))
+        if depth >= MAX_SUM_DEPTH:
+            raise ValueError(f"direct sums are nested more than {MAX_SUM_DEPTH} deep")
+        parts = json_field(data, "parts", list)
+        return ADirectSum(tuple(aobject_from_json(level, p, depth + 1) for p in parts))
     if tag not in ("R", "M"):
         raise ValueError(f"unknown A-object tag {tag!r}")
     r, s, flow = json_field(data, "r", int), json_field(data, "s", int), json_field(data, "flow", int, 0)

@@ -181,6 +181,9 @@ class Report:
         for x, ok in self.step3.duality_checks:
             if not ok:
                 lines.append(f"    FAIL {x}")
+                for name, side in zip(("F(x')", "F(x)*"), duality_square(self.level, x)):
+                    lines.append(f"      {name}:")
+                    lines.extend("        " + ln for ln in lc.loewy_lines(side))
         if self.step4.witness is not None:
             z, e = self.step4.witness
             lines.append(
@@ -204,10 +207,16 @@ def expected_vacuum_factors(level: AdmissibleLevel) -> List[lc.SimpleALabel]:
     return out
 
 
-def duality_square_holds(level: AdmissibleLevel, x: wc.SimpleCLabel) -> bool:
-    """F(x') = F(x)* including Loewy layers, not just K-classes."""
+def duality_square(level: AdmissibleLevel, x: wc.SimpleCLabel) -> Tuple[lc.AObject, lc.AObject]:
+    """The two sides F(x') and F(x)* of the duality square at x."""
     lhs = fn.induce_simple(level, wc.contragredient(level, x))
     rhs = lc.rigid_dual(level, fn.induce_simple(level, x))
+    return lhs, rhs
+
+
+def duality_square_holds(level: AdmissibleLevel, x: wc.SimpleCLabel) -> bool:
+    """F(x') = F(x)* including Loewy layers, not just K-classes."""
+    lhs, rhs = duality_square(level, x)
     return lhs == rhs
 
 

@@ -10,7 +10,10 @@ vector that drives the explicit fusion computation.
 Matrix entries live in Q[w] (polynomials in the formal irrational w with
 Fraction coefficients), since a generic weight lam = a + b*w gets squared in
 the string coefficients.  Each window builds its e, f and h matrices once, on
-first use, and every action looks its coefficients up there.
+first use, as weighted shifts (a coefficient per index and an index shift).
+The bracket and Casimir checks compose those tables into the tables of ef,
+fe, he, ... and compare them entry by entry at every interior index; `act`
+applies a table to a vector, for the submodule witness.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ Poly = Tuple[Fraction, ...]  # coefficients of 1, w, w^2, ...
 
 _ZERO: Poly = ()
 _ONE: Poly = (Fraction(1),)
+_TWO: Poly = (Fraction(2),)
+_HALF = Fraction(1, 2)
 
 
 def _trim(cs: List[Fraction]) -> Poly:
@@ -41,6 +46,13 @@ def _trim(cs: List[Fraction]) -> Poly:
 def _poly(x) -> Poly:
     w = as_weight(x)
     return _trim([w.a, w.b])
+
+
+def _shift(p: Poly, k: int) -> Poly:
+    """p + k for an integer k."""
+    if not p:
+        return (Fraction(k),) if k else _ZERO
+    return _trim([p[0] + k, *p[1:]])
 
 
 def _padd(p: Poly, q: Poly) -> Poly:
@@ -55,7 +67,12 @@ def _padd(p: Poly, q: Poly) -> Poly:
 
 
 def _psub(p: Poly, q: Poly) -> Poly:
-    return _padd(p, tuple(-c for c in q))
+    if not q:
+        return p
+    n = max(len(p), len(q))
+    return _trim([
+        (p[i] if i < len(p) else 0) - (q[i] if i < len(q) else 0) for i in range(n)
+    ])
 
 
 def _pmul(p: Poly, q: Poly) -> Poly:
@@ -63,8 +80,12 @@ def _pmul(p: Poly, q: Poly) -> Poly:
         return _ZERO
     if p == _ONE:
         return q
+    if q == _ONE:
+        return p
     if len(p) == 1:
         return _pscale(q, p[0])
+    if len(q) == 1:
+        return _pscale(p, q[0])
     out = [Fraction(0)] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         for j, b in enumerate(q):
@@ -73,22 +94,25 @@ def _pmul(p: Poly, q: Poly) -> Poly:
 
 
 def _pscale(p: Poly, c) -> Poly:
-    c = Fraction(c) if not isinstance(c, Fraction) else c
-    return _trim([a * c for a in p])
+    """c * p for an int or Fraction c."""
+    if not c:
+        return _ZERO
+    return tuple(a * c for a in p)
 
 
 Vec = Dict[int, Poly]  # window vector: index i -> coefficient of v_{lam+2i}
 
-
-def _vadd(x: Vec, y: Vec) -> Vec:
-    out = dict(x)
-    for i, p in y.items():
-        out[i] = _padd(out.get(i, _ZERO), p)
-    return {i: p for i, p in out.items() if p}
+# A weighted shift: the coefficient at each window index it acts on, and the
+# index shift.  It sends v_i to table[i] * v_{i + shift}; an index without an
+# entry is sent to 0.
+Table = Tuple[Dict[int, Poly], int]
 
 
-def _vsub(x: Vec, y: Vec) -> Vec:
-    return _vadd(x, {i: tuple(-c for c in p) for i, p in y.items()})
+def _compose(a: Table, b: Table) -> Table:
+    """The weighted shift a∘b (b first): (a∘b)[i] = b[i]·a[i + shift_b]."""
+    ta, sa = a
+    tb, sb = b
+    return {i: _pmul(c, ta[i + sb]) for i, c in tb.items() if i + sb in ta}, sa + sb
 
 
 @dataclass(frozen=True)
@@ -100,8 +124,10 @@ class RelaxedWindow:
     (C - (lam+2i-2)^2/2 - (lam+2i-2)) / 2; the plus model is the mirror with
     f shifting down by 1 and e carrying (C - (lam+2i+2)^2/2 + (lam+2i+2)) / 2.
     Shift images falling outside the window are truncated, so only interior
-    indices support exact relations.  The constructor rejects a sign other
-    than minus/plus and a window outside [1, MAX_WINDOW].
+    indices support exact relations.  The relation checks compose the e, f
+    and h tables as operators and compare the products entry by entry on the
+    interior.  The constructor rejects a sign other than minus/plus and a
+    window outside [1, MAX_WINDOW].
     """
 
     lam: Weight
@@ -112,28 +138,36 @@ class RelaxedWindow:
     def __post_init__(self) -> None:
         _check_model(self.sign, self.window)
 
+    @cached_property
+    def _lam_poly(self) -> Poly:
+        return _poly(self.lam)
+
+    @cached_property
+    def _casimir_poly(self) -> Poly:
+        return _poly(self.casimir)
+
     def _x(self, i: int, offset: int) -> Poly:
-        return _poly(self.lam + 2 * i + offset)
+        return _shift(self._lam_poly, 2 * i + offset)
 
     def up_coeff(self, i: int) -> Poly:
         """Coefficient of e: v_i -> v_{i+1}."""
         if self.sign == "minus":
             return _ONE
         x = self._x(i, 2)
-        val = _psub(_poly(self.casimir), _pscale(_pmul(x, x), Fraction(1, 2)))
-        return _pscale(_padd(val, x), Fraction(1, 2))
+        val = _psub(self._casimir_poly, _pscale(_pmul(x, x), _HALF))
+        return _pscale(_padd(val, x), _HALF)
 
     def down_coeff(self, i: int) -> Poly:
         """Coefficient of f: v_i -> v_{i-1}."""
         if self.sign == "plus":
             return _ONE
         x = self._x(i, -2)
-        val = _psub(_poly(self.casimir), _pscale(_pmul(x, x), Fraction(1, 2)))
-        return _pscale(_psub(val, x), Fraction(1, 2))
+        val = _psub(self._casimir_poly, _pscale(_pmul(x, x), _HALF))
+        return _pscale(_psub(val, x), _HALF)
 
     @cached_property
-    def _matrices(self) -> Dict[str, Tuple[Dict[int, Poly], int]]:
-        """Generator -> (its coefficient at each window index it acts on, index shift).
+    def _matrices(self) -> Dict[str, Table]:
+        """Generator -> its weighted shift.
 
         e has no entry at N and f none at -N: their images would leave the
         window, so a missing entry is the truncation.
@@ -163,35 +197,39 @@ class RelaxedWindow:
     def interior(self) -> range:
         return range(-self.window + 1, self.window)
 
-    def check_brackets(self) -> bool:
-        """[e,f] = h, [h,e] = 2e, [h,f] = -2f on every interior index."""
+    def _commutator_is(self, a: Table, b: Table, scale: int, c: Table) -> bool:
+        """[a, b] = scale * c on every interior index."""
+        ab, shift = _compose(a, b)
+        ba, _ = _compose(b, a)
+        if shift != c[1]:
+            return False
+        target = c[0]
         for i in self.interior():
-            basis: Vec = {i: _ONE}
-            ef = self.act("e", self.act("f", basis))
-            fe = self.act("f", self.act("e", basis))
-            if _vsub(ef, fe) != self.act("h", basis):
-                return False
-            he = self.act("h", self.act("e", basis))
-            eh = self.act("e", self.act("h", basis))
-            if _vsub(he, eh) != {j: _pscale(p, 2) for j, p in self.act("e", basis).items()}:
-                return False
-            hf = self.act("h", self.act("f", basis))
-            fh = self.act("f", self.act("h", basis))
-            fv = self.act("f", basis)
-            if _vsub(hf, fh) != {j: _pscale(p, -2) for j, p in fv.items()}:
+            expected = target[i] if scale == 1 else _pscale(target[i], scale)
+            if _psub(ab[i], ba[i]) != expected:
                 return False
         return True
 
+    def check_brackets(self) -> bool:
+        """[e,f] = h, [h,e] = 2e, [h,f] = -2f on every interior index."""
+        m = self._matrices
+        h, e, f = m["h"], m["e"], m["f"]
+        return (
+            self._commutator_is(e, f, 1, h)
+            and self._commutator_is(h, e, 2, e)
+            and self._commutator_is(h, f, -2, f)
+        )
+
     def check_casimir(self) -> bool:
         """2ef + h(h-2)/2 acts as the Casimir scalar on interior indices."""
-        c = _poly(self.casimir)
+        m = self._matrices
+        h = m["h"][0]
+        ef, _ = _compose(m["e"], m["f"])
+        c = self._casimir_poly
         for i in self.interior():
-            basis: Vec = {i: _ONE}
-            ef = self.act("e", self.act("f", basis))
-            h = self._x(i, 0)
-            diag = _pscale(_pmul(h, _psub(h, (Fraction(2),))), Fraction(1, 2))
-            total = _vadd({j: _pscale(p, 2) for j, p in ef.items()}, {i: diag} if diag else {})
-            if total != ({i: c} if c else {}):
+            x = h[i]
+            diag = _pscale(_pmul(x, _psub(x, _TWO)), _HALF)
+            if _padd(_pscale(ef[i], 2), diag) != c:
                 return False
         return True
 
@@ -235,15 +273,14 @@ def reducibility_points(lam, casimir, sign: str, window: int) -> List[Weight]:
     """
     _check_model(sign, window)
     lam = as_weight(lam)
-    target = _poly(casimir)
+    lam_poly, target = _poly(lam), _poly(casimir)
     out: List[Weight] = []
     for i in range(-window, window + 1):
-        mu = lam + 2 * i
-        mp = _poly(mu)
-        c_mu = _pscale(_pmul(mp, mp), Fraction(1, 2))
+        mp = _shift(lam_poly, 2 * i)
+        c_mu = _pscale(_pmul(mp, mp), _HALF)
         c_mu = _padd(c_mu, mp) if sign == "minus" else _psub(c_mu, mp)
         if c_mu == target:
-            out.append(mu)
+            out.append(lam + 2 * i)
     return sorted(out, key=lambda w: w.sort_key())
 
 

@@ -132,6 +132,9 @@ def _nested_sum(depth):
         # nesting deeper than the readers recurse
         ("dual", "--level", "5/3", "--label", _nested_sum(600)),
         ("restrict", "--level", "5/3", "--label", '{"cat":"A","lam":' + "[" * 100_000),
+        # deep enough to overflow the stack while the result is printed
+        ("dual", "--level", "5/3", "--label", _nested_sum(300)),
+        ("dual", "--level", "5/3", "--label", _nested_sum(450)),
     ],
 )
 def test_invalid_input_is_a_usage_error(capsys, argv):
@@ -139,6 +142,13 @@ def test_invalid_input_is_a_usage_error(capsys, argv):
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
     assert "verdict" not in out
+
+
+def test_sum_nesting_cap(capsys):
+    code, out, _ = run(capsys, "dual", "--level", "5/3", "--label", _nested_sum(lc.MAX_SUM_DEPTH))
+    assert code == 0 and out.count("(+)") == lc.MAX_SUM_DEPTH
+    code, _, err = run(capsys, "dual", "--level", "5/3", "--label", _nested_sum(lc.MAX_SUM_DEPTH + 1))
+    assert code == 2 and f"more than {lc.MAX_SUM_DEPTH} deep" in err
 
 
 def test_pipeline_command(capsys):

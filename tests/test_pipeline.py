@@ -6,6 +6,7 @@ import pytest
 from sl2wt import OMEGA, admissible_level, wt
 from sl2wt import weight_cat as wc
 from sl2wt import local_cat as lc
+from sl2wt import functors as fn
 from sl2wt import fusion as fu
 from sl2wt.pipeline import (
     MultCheck,
@@ -86,6 +87,28 @@ def test_step2_failure_prints_the_route_difference(monkeypatch):
     # the JSON record is unchanged: the difference stays out of it
     data = report.to_json()["step2"]["atypical_multiplicity_checks"]
     assert all(set(c) == {"label", "expected", "got", "pass"} for c in data)
+
+
+def test_step3_failure_prints_both_sides_of_the_square(monkeypatch):
+    lv = admissible_level(5, 3)
+    honest_text = run_pipeline(lv).to_text()
+    assert "F(x')" not in honest_text
+
+    # a rigid dual that dualizes nothing breaks every square whose sides differ
+    monkeypatch.setattr(lc, "rigid_dual", lambda level, x: x)
+    report = run_pipeline(lv)
+    failed = [x for x, ok in report.step3.duality_checks if not ok]
+    assert failed and not report.verdict
+    lines = report.to_text().splitlines()
+    for x in failed:
+        at = lines.index(f"    FAIL {x}")
+        lhs = lc.loewy_lines(fn.induce_simple(lv, wc.contragredient(lv, x)))
+        rhs = lc.loewy_lines(fn.induce_simple(lv, x))
+        block = ["      F(x'):", *("        " + ln for ln in lhs), "      F(x)*:", *("        " + ln for ln in rhs)]
+        assert lines[at + 1:at + 1 + len(block)] == block
+    # the JSON record is unchanged: the layers stay out of it
+    data = report.to_json()["step3"]["duality_checks"]
+    assert all(set(c) == {"label", "pass"} for c in data)
 
 
 def test_omega_always_sampled():

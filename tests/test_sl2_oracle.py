@@ -182,6 +182,103 @@ def reference_act(win, gen, vec):
     return {i: p for i, p in out.items() if p}
 
 
+def _ref_combine(*terms):
+    """The vector sum of c * vec over the (c, vec) terms."""
+    out = {}
+    for c, vec in terms:
+        for j, p in vec.items():
+            out[j] = _ref_add(out.get(j, ()), _ref_mul(p, (F(c),)))
+    return {j: p for j, p in out.items() if p}
+
+
+def reference_brackets(win):
+    """[e,f] = h, [h,e] = 2e, [h,f] = -2f through act, one basis vector at a time."""
+    for i in win.interior():
+        v = {i: (F(1),)}
+        for a, b, scale, c in (("e", "f", 1, "h"), ("h", "e", 2, "e"), ("h", "f", -2, "f")):
+            bracket = _ref_combine((1, win.act(a, win.act(b, v))), (-1, win.act(b, win.act(a, v))))
+            if bracket != _ref_combine((scale, win.act(c, v))):
+                return False
+    return True
+
+
+def reference_casimir(win):
+    """2ef + h(h-2)/2 = C through act, one basis vector at a time."""
+    cas = _ref_trim([win.casimir.a, win.casimir.b])
+    for i in win.interior():
+        v = {i: (F(1),)}
+        hv = win.act("h", v)
+        total = _ref_combine((2, win.act("e", win.act("f", v))), (F(1, 2), win.act("h", hv)), (-1, hv))
+        if total != _ref_combine((1, {i: cas})):
+            return False
+    return True
+
+
+# generic models: no e or f coefficient vanishes and no h eigenvalue is 1/2
+# at the indices used, so a +1 on any entry a check reads changes its verdict
+_GENERIC = ((F(1, 3), F(-2, 5)), (F(-3), F(7, 2)), (wt(F(1, 2), 1), wt(3, F(1, 4))))
+
+
+def test_table_checks_match_act_reference_on_honest_models():
+    r = rng(14)
+    models = list(_GENERIC) + [
+        (F(0), F(0)),  # reducible: f vanishes at index 1 in the minus model
+        (F(1), F(3, 2)),
+        (OMEGA, OMEGA),
+        (wt(F(1, 3), F(-1, 2)), wt(F(2), F(1, 3))),
+    ]
+    models += [(random_weight(r), random_weight(r)) for _ in range(4)]
+    for lam, cas in models:
+        for sign in ("minus", "plus"):
+            for n in (1, 2, 5):
+                win = build_relaxed(lam, cas, sign, n)
+                assert win.check_brackets() is reference_brackets(win) is True, (lam, cas, sign, n)
+                assert win.check_casimir() is reference_casimir(win) is True, (lam, cas, sign, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("sign", ["minus", "plus"])
+def test_table_checks_catch_a_corrupted_entry_at_every_index(monkeypatch, sign, n):
+    # A +1 on one entry at each index of [-N, N].  Brackets read every table
+    # entry; the Casimir check reads e on [-N, N-2], f on [-N+1, N-1] and h
+    # on the interior.  up_coeff(N) and down_coeff(-N) are never tabled.
+    casimir_reads = {"up_coeff": range(-n, n - 1), "down_coeff": range(-n + 1, n), "h": range(-n + 1, n)}
+    tabled = {"up_coeff": range(-n, n), "down_coeff": range(-n + 1, n + 1), "h": range(-n, n + 1)}
+    for lam, cas in _GENERIC:
+        for kind in ("up_coeff", "down_coeff", "h"):
+            for at in range(-n, n + 1):
+                if kind == "h":
+                    win = build_relaxed(lam, cas, sign, n)
+                    table = win._matrices["h"][0]  # patched after the tables are built
+                    table[at] = so._padd(table[at], so._ONE)
+                else:
+                    honest = getattr(RelaxedWindow, kind)
+
+                    def corrupted(self, i, honest=honest, at=at):
+                        c = honest(self, i)
+                        return so._padd(c, so._ONE) if i == at else c
+
+                    monkeypatch.setattr(RelaxedWindow, kind, corrupted)
+                    win = build_relaxed(lam, cas, sign, n)
+                case = (lam, cas, kind, at)
+                brackets, casimir = win.check_brackets(), win.check_casimir()
+                assert brackets is reference_brackets(win) is (at not in tabled[kind]), case
+                assert casimir is reference_casimir(win) is (at not in casimir_reads[kind]), case
+                monkeypatch.undo()
+
+
+def test_h_table_is_trimmed_and_exact():
+    # lam + 2i = 0 must be the zero polynomial, not (Fraction(0),)
+    for lam in (0, -4, wt(0, 1)):
+        win = build_relaxed(lam, 0, "minus", 3)
+        table = win._matrices["h"][0]
+        assert all(not p or p[-1] != 0 for p in table.values())
+        assert all(type(c) is F for p in table.values() for c in p)
+    assert build_relaxed(0, 0, "minus", 3)._matrices["h"][0][0] == ()
+    assert build_relaxed(-4, 0, "minus", 3)._matrices["h"][0][2] == ()
+    assert build_relaxed(wt(0, 1), 0, "minus", 3)._matrices["h"][0][0] == (F(0), F(1))
+
+
 def _random_poly(r):
     return _ref_trim([random_fraction(r, 5, 4) for _ in range(r.randint(0, 3))])
 
