@@ -244,7 +244,8 @@ class AdmissibleLevel:
                 f"(u, v) = ({self.u}, {self.v}) is not coprime with u, v >= 2"
             )
 
-    # t and k are read on every Kac-table and Pi-sector step: build them once
+    # t, k, t/2 and the Kac tables are read on every label, functor and
+    # Pi-sector step: build them once per level
     @cached_property
     def t(self) -> Fraction:
         return Fraction(self.u, self.v)
@@ -252,6 +253,20 @@ class AdmissibleLevel:
     @cached_property
     def k(self) -> Fraction:
         return self.t - 2
+
+    @cached_property
+    def half_t(self) -> Fraction:
+        return Fraction(self.u, 2 * self.v)
+
+    @cached_property
+    def lam_table(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        """lam_table[r][s] = lambda_{r,s} for 0 <= r <= u and 0 <= s <= v+1."""
+        return _kac_table(self, _lam)
+
+    @cached_property
+    def nu_table(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        """nu_table[r][s] = nu_{r,s} for 0 <= r <= u and 0 <= s <= v+1."""
+        return _kac_table(self, _nu)
 
     @property
     def c_k(self) -> Fraction:
@@ -270,9 +285,31 @@ def admissible_level(u: int, v: int) -> AdmissibleLevel:
 
 # -- raw Kac-table quantities, no range checks (internal building blocks) --
 
+# The label code reads lambda_{r,s} and nu_{r,s} at 0 <= r <= u and
+# 0 <= s <= v+1 (the Kac table plus the columns s = 0, v and v+1 that the
+# fusion table and build_M reach); AdmissibleLevel tables them there, and
+# values outside that range are built on each call.
+
+
+def _kac_table(level: AdmissibleLevel, formula) -> Tuple[Tuple[Fraction, ...], ...]:
+    return tuple(
+        tuple(formula(level, r, s) for s in range(level.v + 2)) for r in range(level.u + 1)
+    )
+
+
+def _lam(level: AdmissibleLevel, r: int, s: int) -> Fraction:
+    return Fraction((r - 1) * level.v - level.u * s, level.v)
+
+
+def _nu(level: AdmissibleLevel, r: int, s: int) -> Fraction:
+    return Fraction((r - 1) * level.v - level.u * (s - 1), 2 * level.v)
+
+
 def lam_rs(level: AdmissibleLevel, r: int, s: int) -> Fraction:
     """lambda_{r,s} = r - 1 - t*s."""
-    return Fraction((r - 1) * level.v - level.u * s, level.v)
+    if 0 <= r <= level.u and 0 <= s <= level.v + 1:
+        return level.lam_table[r][s]
+    return _lam(level, r, s)
 
 
 def delta_rs(level: AdmissibleLevel, r: int, s: int) -> Fraction:
@@ -283,7 +320,9 @@ def delta_rs(level: AdmissibleLevel, r: int, s: int) -> Fraction:
 
 def nu_rs(level: AdmissibleLevel, r: int, s: int) -> Fraction:
     """nu_{r,s} = (r - 1 - t*(s-1)) / 2."""
-    return Fraction((r - 1) * level.v - level.u * (s - 1), 2 * level.v)
+    if 0 <= r <= level.u and 0 <= s <= level.v + 1:
+        return level.nu_table[r][s]
+    return _nu(level, r, s)
 
 
 def h_rs(level: AdmissibleLevel, r: int, s: int) -> Fraction:

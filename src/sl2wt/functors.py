@@ -20,6 +20,8 @@ from .arithmetic import AdmissibleLevel, nu_rs
 from . import weight_cat as wc
 from . import local_cat as lc
 
+_HALF = Fraction(1, 2)
+
 
 @lru_cache(maxsize=1024)
 def restrict_simple(level: AdmissibleLevel, y: lc.SimpleALabel) -> wc.CObject:
@@ -39,7 +41,7 @@ def is_typical(level: AdmissibleLevel, y: lc.SimpleALabel) -> bool:
 def tau(level: AdmissibleLevel, x: wc.SimpleCLabel) -> lc.SimpleALabel:
     """The simple extended module containing x: x embeds into its restriction."""
     if x.is_typical:
-        return lc.simple_a(level, x.r, x.s, x.flow - 1, (x.lam + level.k) * Fraction(1, 2))
+        return lc.simple_a(level, x.r, x.s, x.flow - 1, (x.lam + level.k) * _HALF)
     if x.s <= level.v - 2:
         return lc.simple_a(level, x.r, x.s + 1, x.flow, nu_rs(level, x.r, x.s + 1))
     ru = level.u - x.r
@@ -60,7 +62,7 @@ def induce_simple(level: AdmissibleLevel, x: wc.SimpleCLabel) -> lc.AObject:
     sigma^l(D+_{r,s}) -> M[r,s+1]@l (simple when s = v-1).
     """
     if x.is_typical:
-        return lc.build_R(level, x.r, x.s, (x.lam + level.k) * Fraction(1, 2), x.flow - 1)
+        return lc.build_R(level, x.r, x.s, (x.lam + level.k) * _HALF, x.flow - 1)
     return lc.build_M(level, x.r, x.s + 1, x.flow)
 
 

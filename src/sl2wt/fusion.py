@@ -7,13 +7,15 @@ through the induction functor.  Induction is unitriangular on Grothendieck
 groups: the top of F(z) is tau(z) and every lower factor sits at a higher
 flow.  So the solver computes the induced product in the extended fusion ring
 and peels it term by term, lowest flow first, into the unique effective
-preimage, raising NoSolution when no effective class induces to it.
+preimage, raising NoSolution when no effective class induces to it.  A term
+whose coefficient is already zero when the peel reaches it starts no step,
+so tau is inverted (one restriction each) only on the terms that do.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .arithmetic import AdmissibleLevel, check_rs, lam_rs
 from . import weight_cat as wc
@@ -88,11 +90,10 @@ def a_tensor_restriction(level: AdmissibleLevel, y: lc.SimpleALabel) -> wc.Groth
     (l+2, lam-t) and (l+1, lam-t/2) at Kac labels (r, s-+1), components with
     s-part 0 or v dropped.
     """
-    t = level.t
     total = wc.comp_factors(level, restrict_simple(level, y))
-    pieces = [(y.r, y.s, y.flow + 2, y.lam - t)]
+    pieces = [(y.r, y.s, y.flow + 2, y.lam - level.t)]
     pieces += [
-        (y.r, s2, y.flow + 1, y.lam - t / 2)
+        (y.r, s2, y.flow + 1, y.lam - level.half_t)
         for s2 in (y.s - 1, y.s + 1)
         if 1 <= s2 <= level.v - 1
     ]
@@ -129,15 +130,16 @@ def _peel_order(w: lc.SimpleALabel):
     return (w.flow, w.sort_key())
 
 
-def _candidates(
-    level: AdmissibleLevel, p: lc.GrothA
-) -> List[Tuple[lc.SimpleALabel, wc.SimpleCLabel]]:
-    """(w, tau^-1(w)) for each term w of p, lowest flow first.
+def _candidates(level: AdmissibleLevel, p: lc.GrothA) -> List[lc.SimpleALabel]:
+    """The terms of p in peel order, lowest flow first.
 
     Every lower factor of F(z) sits at a higher flow than its top tau(z), so
     in this order each term's coefficient is final by the time it is reached.
+    The solver inverts tau only on the terms still nonzero then.  level goes
+    unused; the signature stays because ``bench/layers.py`` wraps this
+    function to count p's terms per solve.
     """
-    return [(w, tau_inverse(level, w)) for w in sorted(p.support(), key=_peel_order)]
+    return sorted(p.support(), key=_peel_order)
 
 
 def _subtract(residual: Dict[lc.SimpleALabel, int], n: int, cls: lc.GrothA) -> None:
@@ -172,11 +174,12 @@ def groth_fuse_C(level: AdmissibleLevel, x: wc.GrothC, y: wc.GrothC) -> wc.Groth
     p = groth_F(level, x) * groth_F(level, y)
     residual: Dict[lc.SimpleALabel, int] = dict(p.items())
     out: Dict[wc.SimpleCLabel, int] = {}
-    for w, z in _candidates(level, p):
+    for w in _candidates(level, p):
         n = residual.get(w, 0)
         if n < 0:
             raise NoSolution(f"coefficient {n} at {w} when peeled")
         if n:
+            z = tau_inverse(level, w)
             out[z] = n
             _subtract(residual, n, _induced_class(level, z))
     if residual:

@@ -11,7 +11,6 @@ exponents e in Q + Q*w, so all comparisons are exact mod 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from typing import List, Tuple, Union
 
@@ -36,6 +35,17 @@ class SimpleALabel:
     s: int
     flow: int
     lam: Weight
+
+    # hashed once at construction and rebuilt by pickling and copying, as
+    # SimpleCLabel is
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.r, self.s, self.flow, self.lam)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (SimpleALabel, (self.r, self.s, self.flow, self.lam))
 
     def sort_key(self):
         return (self.r, self.s, self.flow, self.lam.sort_key())
@@ -198,16 +208,17 @@ AObject = Union[ASimple, RObject, MObject, ADirectSum]
 def build_R(level: AdmissibleLevel, r: int, s: int, lam, flow: int) -> RObject:
     check_rs(level, r, s)
     w = as_weight(lam).reduce(1)
-    half_t = Fraction(level.t, 2)
     top = (simple_a(level, r, s, flow, w),)
+    # the middle labels share flow and lam, and their canonical Kac labels
+    # differ (u and v are coprime), so (r, s) gives the sort_key order
     mid = tuple(
         sorted(
             (
-                simple_a(level, r, s2, flow + 1, w - half_t)
+                simple_a(level, r, s2, flow + 1, w - level.half_t)
                 for s2 in (s - 1, s + 1)
                 if 1 <= s2 <= level.v - 1
             ),
-            key=lambda x: x.sort_key(),
+            key=lambda x: (x.r, x.s),
         )
     )
     bot = (simple_a(level, r, s, flow + 2, w - level.t),)

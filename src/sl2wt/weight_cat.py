@@ -37,6 +37,19 @@ class SimpleCLabel:
     s: int
     lam: Optional[Weight] = None  # None <=> atypical
 
+    # labels key every Grothendieck class, so each is hashed many times:
+    # hash the field tuple once, at construction
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.flow, self.r, self.s, self.lam)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    # pickling and copying rebuild the hash rather than carry it over:
+    # hash(None) differs between processes
+    def __reduce__(self):
+        return (SimpleCLabel, (self.flow, self.r, self.s, self.lam))
+
     @property
     def is_typical(self) -> bool:
         return self.lam is not None

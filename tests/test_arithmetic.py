@@ -18,7 +18,9 @@ from sl2wt import (
     pi_conf_weight,
     wt,
 )
-from sl2wt.arithmetic import delta_rs, h_rs, lam_rs
+from sl2wt.arithmetic import as_weight, delta_rs, h_rs, lam_rs, nu_rs
+from sl2wt import functors as fn
+from sl2wt import local_cat as lc
 
 from conftest import TEST_LEVELS, random_weight, rng
 
@@ -64,6 +66,16 @@ def test_kac_symmetries_exhaustive(level):
             assert lam_rs(level, u - r, v - s) == -lam_rs(level, r, s) - 2
             assert delta_rs(level, u - r, v - s) == delta_rs(level, r, s)
             assert h_rs(level, u - r, v - s) == h_rs(level, r, s)
+
+
+def test_kac_tables_match_the_formulas(level):
+    # tabled on 0 <= r <= u, 0 <= s <= v+1, built per call one step outside
+    t = level.t
+    for r in range(-1, level.u + 2):
+        for s in range(-1, level.v + 3):
+            assert lam_rs(level, r, s) == r - 1 - t * s
+            assert nu_rs(level, r, s) == (r - 1 - t * (s - 1)) / 2
+    assert level.half_t == t / 2
 
 
 def test_conf_wt_gap_examples():
@@ -239,3 +251,31 @@ def test_weight_hot_path_builds_no_fraction(monkeypatch):
     assert x.reduce(1) == x.reduce(2).reduce(1)
     assert twin == x and hash(twin) == hash(x) and table[twin] == "x"
     assert not x.is_integral and not x.is_rational and bool(x)
+
+
+@pytest.mark.parametrize("uv", TEST_LEVELS + [(13, 8)], ids=lambda uv: f"{uv[0]}-{uv[1]}")
+def test_label_and_functor_hot_path_builds_no_fraction(monkeypatch, uv):
+    # once a level has built its constants (t, k, t/2 and the lambda and nu
+    # tables), labels, restriction, tau^-1, induction and simple fusion build
+    # no Fraction
+    level = admissible_level(*uv)
+    r = rng(uv[0] * 10 + uv[1])
+    args = []
+    for rr in range(1, level.u):
+        for ss in range(1, level.v):
+            for lam in (nu_rs(level, rr, ss) + 1, nu_rs(level, level.u - rr, level.v - ss), random_weight(r)):
+                args.append((rr, ss, r.randint(-2, 2), as_weight(lam)))
+    for name in ("t", "k", "half_t", "lam_table", "nu_table"):
+        getattr(level, name)
+    fn.restrict_simple.cache_clear()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(F, "__new__", refuse)
+    labels = [lc.simple_a(level, *a) for a in args]
+    for y in labels:
+        fn.restrict_simple(level, y)
+        x = fn.tau_inverse(level, y)
+        fn.induce_simple(level, x)
+        lc.a_fuse(level, y, labels[0])

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 from fractions import Fraction as F
@@ -158,6 +159,20 @@ def test_pipeline_command(capsys):
     code, out, _ = run(capsys, "pipeline", "--level", "2/3", "--flows=-1..1", "--json")
     assert code == 0
     assert json.loads(out)["verdict"] is True
+
+
+# sha256 of the whole `pipeline --json` output, newline included
+PIPELINE_JSON_SHA256 = {
+    "13/8": "1770a882d07b41632798e5e2eea1f287b4d83dc9118c5ca7faccfa326dc598fc",
+    "5/3": "740ac8a8c6325007cc4da1731495f884304c96cff555101ecf1555a331d42ecf",
+}
+
+
+@pytest.mark.parametrize("level", sorted(PIPELINE_JSON_SHA256))
+def test_pipeline_json_bytes_are_pinned(capsys, level):
+    code, out, _ = run(capsys, "pipeline", "--level", level, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PIPELINE_JSON_SHA256[level]
 
 
 def test_induce_restrict_dual(capsys):

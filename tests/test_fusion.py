@@ -184,6 +184,31 @@ def test_solver_refuses_a_wrong_induced_class(monkeypatch, level, which):
     assert raised
 
 
+def test_solver_inverts_only_what_it_peels(monkeypatch, level):
+    # tau is a bijection, so each peel step adds one new label to the result:
+    # one tau_inverse per label of the result, none for the terms of p that
+    # are zero by the time the peel reaches them
+    original, calls = fu.tau_inverse, []
+
+    def counted(lv, w):
+        calls.append(w)
+        return original(lv, w)
+
+    monkeypatch.setattr(fu, "tau_inverse", counted)
+    r = rng(57)
+    passed_over = 0
+    for size in (1, 1, 2, 3, 4):
+        x = wc.GrothC.of(*(random_label(level, r) for _ in range(size)))
+        y = wc.GrothC.of(*(random_label(level, r) for _ in range(size)))
+        p = fn.groth_F(level, x) * fn.groth_F(level, y)
+        calls.clear()
+        result = fu.groth_fuse_C(level, x, y)
+        assert len(calls) == len(result.support())
+        assert {original(level, w) for w in calls} == result.support()
+        passed_over += len(p.support()) - len(calls)
+    assert passed_over > 0
+
+
 @st.composite
 def _effective_class(draw, level):
     labels = []

@@ -1,12 +1,16 @@
 """Hypothesis properties of labels: text and JSON round trips, duals as
-involutions, and the contragredient against spectral flow."""
+involutions, the contragredient against spectral flow, and label hashes
+that agree across construction routes and copies."""
 
+import copy
+import dataclasses
 import json
+import pickle
 from fractions import Fraction as F
 
 from hypothesis import assume, given, settings, strategies as st
 
-from sl2wt import Weight, admissible_level
+from sl2wt import OMEGA, Weight, admissible_level
 from sl2wt import weight_cat as wc
 from sl2wt import local_cat as lc
 from sl2wt.cli import parse_alabel, parse_clabel
@@ -83,3 +87,49 @@ def test_duals_are_involutions(data, uv, m):
     assert wc.contragredient(level, wc.spectral_flow(x, m)) == wc.spectral_flow(xd, -m)
     assert lc.rigid_dual(level, lc.rigid_dual(level, y)) == y
     assert lc.rigid_dual(level, lc.rigid_dual(level, obj)) == obj
+
+
+def _hashed_once_agrees(x, y):
+    """x == y, equal hashes, and each hash is the hash of the field tuple."""
+    assert x == y and hash(x) == hash(y)
+    assert hash(x) == hash(tuple(getattr(x, f.name) for f in dataclasses.fields(x)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), uv=st.sampled_from(TEST_LEVELS))
+def test_equal_labels_hash_equal_by_every_route(data, uv):
+    # labels hash once, at construction: labels built by different routes
+    # to the same module, and copies made without calling the constructors,
+    # must still compare and hash equal
+    level = admissible_level(*uv)
+    u, v = level.u, level.v
+    r, s, flow = data.draw(st.integers(1, u - 1)), data.draw(st.integers(1, v - 1)), data.draw(flows)
+    lam = data.draw(lams)
+    y = lc.simple_a(level, r, s, flow, lam)
+    _hashed_once_agrees(y, lc.simple_a(level, u - r, v - s, flow, lam))
+    _hashed_once_agrees(y, lc.simple_a(level, r, s, flow, lam + 1))
+    try:
+        x = wc.typical(level, r, s, lam, flow)
+    except wc.NotSimple:
+        x = wc.typical(level, r, s, lam + OMEGA, flow)
+    _hashed_once_agrees(x, wc.typical(level, u - r, v - s, x.lam, flow))
+    _hashed_once_agrees(x, wc.typical(level, r, s, x.lam + 2, flow))
+    # the D- and L(r,0) rewrites land on the D+ labels built directly
+    s0 = data.draw(st.integers(0, v - 1))
+    if s0 == 0:
+        direct = wc.atypical(level, u - r, v - 1, flow - 1)
+        _hashed_once_agrees(wc.lr0(level, r, flow), direct)
+        _hashed_once_agrees(wc.dplus(level, r, 0, flow), direct)
+    elif s0 <= v - 2:
+        direct = wc.atypical(level, u - r, v - s0 - 1, flow - 1)
+    else:
+        direct = wc.atypical(level, r, v - 1, flow - 2)
+    _hashed_once_agrees(wc.dminus(level, r, s0, flow), direct)
+    _hashed_once_agrees(wc.spectral_flow(wc.atypical(level, r, s, 0), flow), wc.atypical(level, r, s, flow))
+    for label in (y, x, direct):
+        for twin in (pickle.loads(pickle.dumps(label)), copy.copy(label), copy.deepcopy(label),
+                     dataclasses.replace(label)):
+            _hashed_once_agrees(twin, label)
+    _hashed_once_agrees(dataclasses.replace(y, flow=flow + 1), lc.simple_a(level, r, s, flow + 1, lam))
+    _hashed_once_agrees(dataclasses.replace(x, flow=flow + 1), wc.spectral_flow(x, 1))
+    assert {y, x, direct} == {copy.copy(y), copy.copy(x), copy.copy(direct)}

@@ -300,3 +300,15 @@ def test_aobject_json_round_trip():
         back = lc.aobject_from_json(lv, json.loads(blob))
         assert back == obj
         assert json.dumps(lc.aobject_to_json(back), sort_keys=True) == blob
+
+
+def test_build_R_middle_layer_in_sort_key_order(level):
+    # build_R sorts its middle layer by (r, s) alone: the two middle labels
+    # share flow and lam and never share a canonical Kac label
+    for r in range(1, level.u):
+        for s in range(1, level.v):
+            for lam in (wt(0), wt(F(1, 3)), OMEGA, level.t):
+                mid = lc.build_R(level, r, s, lam, 1).layers[1:-1]
+                for layer in mid:
+                    assert list(layer) == sorted(layer, key=lambda x: x.sort_key())
+                    assert len({(x.r, x.s) for x in layer}) == len(layer)
