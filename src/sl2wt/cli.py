@@ -32,7 +32,7 @@ from . import local_cat as lc
 from . import functors as fn
 from . import fusion as fu
 from . import sl2_oracle as so
-from .pipeline import SampleConfig, run_pipeline
+from .pipeline import FLOWS, MAX_FLOWS, run_pipeline
 
 _INT = r"-?[0-9]+"
 _COMPACT = {
@@ -201,11 +201,11 @@ def _cmd_dual(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     level = _level(args)
-    config = SampleConfig()
+    flows = FLOWS
     if args.flows:
         lo, hi = _ints("N..N", args.flows, "--flows")
-        config = SampleConfig(flows=tuple(range(lo, hi + 1)))
-    report = run_pipeline(level, config)
+        flows = range(lo, hi + 1)
+    report = run_pipeline(level, flows)
     if args.json:
         _dump(report.to_json())
     else:
@@ -263,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("kac", _cmd_kac, "print the Kac table (lambda, Delta, nu, h)")
 
     p = add("pipeline", _cmd_pipeline, "run the four-step rigidity verification")
-    p.add_argument("--flows", help="flow sample range a..b (default -2..2)")
+    p.add_argument("--flows", help=f"flow sample range a..b (default -2..2, at most {MAX_FLOWS} flows)")
 
     po = sub.add_parser("oracle", help="finite-window sl2 oracle checks")
     osub = po.add_subparsers(dest="oracle_command", required=True)

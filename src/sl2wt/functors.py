@@ -34,10 +34,6 @@ def restrict_simple(level: AdmissibleLevel, y: lc.SimpleALabel) -> wc.CObject:
     return wc.Simple(wc.typical(level, y.r, y.s, 2 * y.lam - level.k, flow))
 
 
-def is_typical(level: AdmissibleLevel, y: lc.SimpleALabel) -> bool:
-    return isinstance(restrict_simple(level, y), wc.Simple)
-
-
 def tau(level: AdmissibleLevel, x: wc.SimpleCLabel) -> lc.SimpleALabel:
     """The simple extended module containing x: x embeds into its restriction."""
     if x.is_typical:

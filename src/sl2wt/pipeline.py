@@ -8,16 +8,22 @@ through two independent code paths that must agree exactly.  Step 3 checks
 the duality square F(X') = F(X)* layer for layer on a sample of simples.
 Step 4 produces a Mueger-noncentrality witness for the simple quotient of A.
 
-All checks record outcomes; nothing short of a malformed level aborts a run.
+Steps 2 and 3 check the same simples, because both walk
+``_typical_samples``: for each Kac label (r, s), each flow (``FLOWS`` unless
+the caller passes others) and each lam in ``LAMBDA_SAMPLES``, the simple
+M(r,s) x Pi_flow(lam) is kept when its restriction is typical.
+
+All checks record outcomes; nothing short of a malformed level or an empty
+or oversized flow range aborts a run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .arithmetic import OMEGA, AdmissibleLevel, Weight, as_weight, wt
+from .arithmetic import OMEGA, AdmissibleLevel, Weight, wt
 from . import weight_cat as wc
 from . import local_cat as lc
 from . import functors as fn
@@ -28,20 +34,19 @@ class NoWitness(RuntimeError):
     """The bounded noncentrality search failed (signals a bug, not a theorem gap)."""
 
 
-@dataclass(frozen=True)
-class SampleConfig:
-    flows: Tuple[int, ...] = (-2, -1, 0, 1, 2)
-    lambda_samples: Tuple[Weight, ...] = (wt(0), wt(Fraction(1, 2)), OMEGA)
+# The flows and lambdas that steps 2 and 3 sample.  w stands for the generic
+# stratum: it lies on no coset nu_{r,s} mod Z, so every (r, s, flow) yields a
+# typical sample.
+FLOWS: Tuple[int, ...] = (-2, -1, 0, 1, 2)
+LAMBDA_SAMPLES: Tuple[Weight, ...] = (wt(0), wt(Fraction(1, 2)), OMEGA)
 
-    def __post_init__(self):
-        if not self.flows:
-            raise ValueError("no flows to sample: a pipeline run would check nothing")
+# Largest number of flows one run samples.  Steps 2 and 3 take time linear in
+# the flows: at 13/8, MAX_FLOWS of them take about 10 s (2-core Xeon,
+# Python 3.11), against 0.5 s for FLOWS.
+MAX_FLOWS = 100
 
-    def with_omega(self) -> "SampleConfig":
-        """Generic typicality must always be exercised, so w is forced in."""
-        if OMEGA in self.lambda_samples:
-            return self
-        return SampleConfig(self.flows, self.lambda_samples + (OMEGA,))
+# The Pi-sector lambdas the noncentrality witness tries, w first.
+WITNESS_LAMBDAS: Tuple[Weight, ...] = (OMEGA, *(wt(Fraction(*pq)) for pq in ((1, 2), (1, 3), (1, 5), (2, 5))))
 
 
 @dataclass(frozen=True)
@@ -220,16 +225,7 @@ def duality_square_holds(level: AdmissibleLevel, x: wc.SimpleCLabel) -> bool:
     return lhs == rhs
 
 
-def noncentrality_witness(
-    level: AdmissibleLevel,
-    q: wc.SimpleCLabel,
-    rational_samples: Sequence[Fraction] = (
-        Fraction(1, 2),
-        Fraction(1, 3),
-        Fraction(1, 5),
-        Fraction(2, 5),
-    ),
-) -> Tuple[lc.SimpleALabel, Weight]:
+def noncentrality_witness(level: AdmissibleLevel, q: wc.SimpleCLabel) -> Tuple[lc.SimpleALabel, Weight]:
     """A simple Z = M(1,1) x Pi_l'(lam') whose Pi-sector monodromy with tau(q)
     is a nontrivial scalar, found with l' in {0, 1}.
 
@@ -239,7 +235,7 @@ def noncentrality_witness(
         raise ValueError("the tensor unit is Mueger central; no witness exists")
     tq = fn.tau(level, q)
     for flow_p in (0, 1):
-        for lam_p in (OMEGA, *map(as_weight, rational_samples)):
+        for lam_p in WITNESS_LAMBDAS:
             e = lc.monodromy_exponent(level, tq.flow, tq.lam, flow_p, lam_p)
             if not e.is_integral:
                 return lc.simple_a(level, 1, 1, flow_p, lam_p), e
@@ -254,47 +250,46 @@ def _step1(level: AdmissibleLevel) -> Step1:
     return Step1(factors, all_local, factors_class == expected)
 
 
-def _step2(level: AdmissibleLevel, config: SampleConfig) -> Step2:
+def _typical_samples(
+    level: AdmissibleLevel, r: int, s: int, flow: int
+) -> Iterator[Tuple[lc.SimpleALabel, wc.SimpleCLabel]]:
+    """(y, x) for each y = M(r,s) x Pi_flow(lam), lam in LAMBDA_SAMPLES, whose
+    restriction is the typical simple x."""
+    for lam in LAMBDA_SAMPLES:
+        y = lc.simple_a(level, r, s, flow, lam)
+        res = fn.restrict_simple(level, y)
+        if isinstance(res, wc.Simple):
+            yield y, res.label
+
+
+def _mult_check(level: AdmissibleLevel, y: lc.SimpleALabel, x: wc.SimpleCLabel, expected: int) -> MultCheck:
+    """The multiplicity of x in the restriction of N fused with y, computed
+    directly and through the fusion ring."""
+    direct = fu.a_tensor_restriction(level, y)
+    via_ring = fu.a_tensor_restriction_via_ring(level, y)
+    return MultCheck(x, expected, direct.multiplicity(x), direct - via_ring)
+
+
+def _step2(level: AdmissibleLevel, flows: Sequence[int]) -> Step2:
     typ: List[MultCheck] = []
     atyp: List[MultCheck] = []
     for r in range(1, level.u):
         for s in range(1, level.v):
             x = wc.atypical(level, r, s, 0)
-            y = fn.tau_tilde(level, x)
-            direct = fu.a_tensor_restriction(level, y)
-            via_ring = fu.a_tensor_restriction_via_ring(level, y)
-            atyp.append(MultCheck(x, 2, direct.multiplicity(x), direct - via_ring))
-            for flow in config.flows:
-                for lam in config.lambda_samples:
-                    y = lc.simple_a(level, r, s, flow, lam)
-                    res = fn.restrict_simple(level, y)
-                    if not isinstance(res, wc.Simple):
-                        continue
-                    z = res.label
-                    direct = fu.a_tensor_restriction(level, y)
-                    via_ring = fu.a_tensor_restriction_via_ring(level, y)
-                    typ.append(MultCheck(z, 1, direct.multiplicity(z), direct - via_ring))
+            atyp.append(_mult_check(level, fn.tau_tilde(level, x), x, 2))
+            for flow in flows:
+                typ.extend(_mult_check(level, y, x, 1) for y, x in _typical_samples(level, r, s, flow))
     return Step2(tuple(typ), tuple(atyp))
 
 
-def _step3(level: AdmissibleLevel, config: SampleConfig) -> Step3:
-    checks: List[Tuple[wc.SimpleCLabel, bool]] = []
-    seen = set()
+def _step3(level: AdmissibleLevel, flows: Sequence[int]) -> Step3:
+    samples: Dict[wc.SimpleCLabel, None] = {}  # insertion-ordered set
     for r in range(1, level.u):
         for s in range(1, level.v):
-            for flow in config.flows:
-                samples: List[wc.SimpleCLabel] = [wc.atypical(level, r, s, flow)]
-                for lam in config.lambda_samples:
-                    y = lc.simple_a(level, r, s, flow, lam)
-                    res = fn.restrict_simple(level, y)
-                    if isinstance(res, wc.Simple):
-                        samples.append(res.label)
-                for x in samples:
-                    if x in seen:
-                        continue
-                    seen.add(x)
-                    checks.append((x, duality_square_holds(level, x)))
-    return Step3(tuple(checks))
+            for flow in flows:
+                samples[wc.atypical(level, r, s, flow)] = None
+                samples.update((x, None) for _, x in _typical_samples(level, r, s, flow))
+    return Step3(tuple((x, duality_square_holds(level, x)) for x in samples))
 
 
 def _step4(level: AdmissibleLevel) -> Step4:
@@ -306,12 +301,17 @@ def _step4(level: AdmissibleLevel) -> Step4:
     return Step4((z, e), not e.is_integral)
 
 
-def run_pipeline(level: AdmissibleLevel, config: Optional[SampleConfig] = None) -> Report:
-    config = (config or SampleConfig()).with_omega()
+def run_pipeline(level: AdmissibleLevel, flows: Sequence[int] = FLOWS) -> Report:
+    """The four steps at level, steps 2 and 3 sampling the given flows (a
+    tuple or a range of at most MAX_FLOWS integers)."""
+    if not flows:
+        raise ValueError("no flows to sample: a pipeline run would check nothing")
+    if flows[MAX_FLOWS:]:  # sliced, not len(): a range past sys.maxsize has no len
+        raise ValueError(f"at most {MAX_FLOWS} flows can be sampled in one run")
     return Report(
         level=level,
         step1=_step1(level),
-        step2=_step2(level, config),
-        step3=_step3(level, config),
+        step2=_step2(level, flows),
+        step3=_step3(level, flows),
         step4=_step4(level),
     )

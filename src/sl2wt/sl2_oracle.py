@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .arithmetic import AdmissibleLevel, Weight, as_weight, lam_rs
 
@@ -302,6 +302,14 @@ _PAIRING = {("e", "f"): Fraction(1), ("f", "e"): Fraction(1), ("h", "h"): Fracti
 AVec = Dict[Tuple[str, int], Fraction]
 
 
+def _collect(terms: Iterable[Tuple[Tuple[str, int], Fraction]]) -> AVec:
+    """The vector sum of (key, coefficient) terms, without zero entries."""
+    out: AVec = {}
+    for key, coef in terms:
+        out[key] = out.get(key, Fraction(0)) + coef
+    return {k: c for k, c in out.items() if c}
+
+
 class AffineDepth1:
     """(sl2 tensor t^-1) applied to the top of the Verma module over D+(1,1).
 
@@ -323,39 +331,24 @@ class AffineDepth1:
         return [(("T", m), lam - 2 * m)]
 
     def act_zero(self, gen: str, vec: AVec) -> AVec:
-        out: AVec = {}
-
-        def add(key, coef):
-            if coef:
-                out[key] = out.get(key, Fraction(0)) + coef
-
+        terms = []
         for (kind, m), c in vec.items():
             if kind == "T":
-                for key, coef in self._top(gen, m):
-                    add(key, c * coef)
+                terms += [(key, c * coef) for key, coef in self._top(gen, m)]
             else:
-                for b, coef in _BRACKET[(gen, kind)]:
-                    add((b, m), c * coef)
-                for (_, tm), coef in self._top(gen, m):
-                    add((kind, tm), c * coef)
-        return {k: c for k, c in out.items() if c}
+                terms += [((b, m), c * coef) for b, coef in _BRACKET[(gen, kind)]]
+                terms += [((kind, tm), c * coef) for (_, tm), coef in self._top(gen, m)]
+        return _collect(terms)
 
     def act_one(self, gen: str, vec: AVec) -> AVec:
-        out: AVec = {}
-
-        def add(key, coef):
-            if coef:
-                out[key] = out.get(key, Fraction(0)) + coef
-
+        terms = []
         for (kind, m), c in vec.items():
             if kind == "T":
                 continue  # positive modes kill the top space
             for b, coef in _BRACKET[(gen, kind)]:
-                for key, tc in self._top(b, m):
-                    add(key, c * coef * tc)
-            pairing = _PAIRING.get((gen, kind), Fraction(0))
-            add(("T", m), c * pairing * self.level.k)
-        return {k: c for k, c in out.items() if c}
+                terms += [(key, c * coef * tc) for key, tc in self._top(b, m)]
+            terms.append((("T", m), c * _PAIRING.get((gen, kind), Fraction(0)) * self.level.k))
+        return _collect(terms)
 
     def singular_vector(self, perturbation: Fraction = Fraction(0)) -> AVec:
         """e_{-1} f^2 v - (t+1) h_{-1} f v - (t(t+1) + perturbation) f_{-1} v."""

@@ -136,6 +136,9 @@ def _nested_sum(depth):
         # deep enough to overflow the stack while the result is printed
         ("dual", "--level", "5/3", "--label", _nested_sum(300)),
         ("dual", "--level", "5/3", "--label", _nested_sum(450)),
+        # a flow range longer than MAX_FLOWS, refused before it is built
+        ("pipeline", "--level", "5/3", "--flows=0..9999999999"),
+        ("pipeline", "--level", "5/3", "--flows=0..99999999999999999999999"),
     ],
 )
 def test_invalid_input_is_a_usage_error(capsys, argv):

@@ -9,16 +9,21 @@ from sl2wt import local_cat as lc
 from sl2wt import functors as fn
 from sl2wt import fusion as fu
 from sl2wt.pipeline import (
+    FLOWS,
+    LAMBDA_SAMPLES,
+    MAX_FLOWS,
     MultCheck,
-    SampleConfig,
+    _typical_samples,
     expected_vacuum_factors,
     noncentrality_witness,
     run_pipeline,
 )
 
+from conftest import TEST_LEVELS
+
 
 def test_pipeline_v2():
-    report = run_pipeline(admissible_level(3, 2), SampleConfig(flows=(-2, -1, 0, 1, 2)))
+    report = run_pipeline(admissible_level(3, 2), flows=(-2, -1, 0, 1, 2))
     assert report.verdict
     assert report.step1.all_local and report.step1.matches_expected
 
@@ -112,10 +117,42 @@ def test_step3_failure_prints_both_sides_of_the_square(monkeypatch):
 
 
 def test_omega_always_sampled():
-    config = SampleConfig(lambda_samples=(wt(0),))
-    assert OMEGA in config.with_omega().lambda_samples
-    report = run_pipeline(admissible_level(2, 3), config)
+    assert OMEGA in LAMBDA_SAMPLES
+    lv = admissible_level(2, 3)
+    report = run_pipeline(lv, flows=FLOWS)
     assert report.verdict
+    # w lies on no atypical coset, so every (r, s, flow) has a typical sample
+    for r in range(1, lv.u):
+        for s in range(1, lv.v):
+            assert all(list(_typical_samples(lv, r, s, flow)) for flow in FLOWS)
+
+
+@pytest.mark.parametrize("uv", TEST_LEVELS + [(13, 8)], ids=lambda uv: f"{uv[0]}-{uv[1]}")
+def test_steps_2_and_3_sample_the_same_simples(uv):
+    report = run_pipeline(admissible_level(*uv))
+    step2 = {c.label for c in report.step2.typical_multiplicity_checks}
+    step3 = {x for x, _ in report.step3.duality_checks if x.is_typical}
+    assert step2 and step2 == step3
+
+
+def test_flows_must_be_nonempty_and_bounded():
+    lv = admissible_level(5, 3)
+    for empty in ((), [], range(5, 1)):
+        with pytest.raises(ValueError, match="no flows"):
+            run_pipeline(lv, flows=empty)
+    # refused before the range is walked, even past sys.maxsize
+    for long in (range(MAX_FLOWS + 1), range(-10**30, 10**30)):
+        with pytest.raises(ValueError, match=f"at most {MAX_FLOWS} flows"):
+            run_pipeline(lv, flows=long)
+    assert run_pipeline(admissible_level(3, 2), flows=range(MAX_FLOWS)).verdict
+
+
+def test_flow_range_gives_the_tuple_report():
+    lv = admissible_level(5, 3)
+    by_range, by_tuple = run_pipeline(lv, flows=range(-1, 3)), run_pipeline(lv, flows=(-1, 0, 1, 2))
+    assert by_range == by_tuple
+    assert by_range.to_json() == by_tuple.to_json()
+    assert run_pipeline(lv, flows=range(-2, 3)).to_json() == run_pipeline(lv).to_json()
 
 
 def test_noncentrality_witness_examples():
