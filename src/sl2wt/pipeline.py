@@ -13,8 +13,8 @@ Steps 2 and 3 check the same simples, because both walk
 the caller passes others) and each lam in ``LAMBDA_SAMPLES``, the simple
 M(r,s) x Pi_flow(lam) is kept when its restriction is typical.
 
-All checks record outcomes; nothing short of a malformed level or an empty
-or oversized flow range aborts a run.
+All checks record outcomes; nothing short of a malformed level, a Kac table
+above MAX_KAC_TABLE or an empty or oversized flow range aborts a run.
 """
 
 from __future__ import annotations
@@ -44,6 +44,12 @@ LAMBDA_SAMPLES: Tuple[Weight, ...] = (wt(0), wt(Fraction(1, 2)), OMEGA)
 # the flows: at 13/8, MAX_FLOWS of them take about 10 s (2-core Xeon,
 # Python 3.11), against 0.5 s for FLOWS.
 MAX_FLOWS = 100
+
+# Largest Kac table (u-1)(v-1) one run walks.  Steps 2 and 3 take time that
+# grows with the table: 2.2 s at 23/12 (242 labels), 5.6 s at 37/18 (612),
+# 7.7 s at 41/26 (1000) and 11.2 s at 51/31 (1500), one fresh process each
+# with FLOWS (2-core Xeon, Python 3.11), so 1001/1000 would run for hours.
+MAX_KAC_TABLE = 1000
 
 # The Pi-sector lambdas the noncentrality witness tries, w first.
 WITNESS_LAMBDAS: Tuple[Weight, ...] = (OMEGA, *(wt(Fraction(*pq)) for pq in ((1, 2), (1, 3), (1, 5), (2, 5))))
@@ -303,7 +309,11 @@ def _step4(level: AdmissibleLevel) -> Step4:
 
 def run_pipeline(level: AdmissibleLevel, flows: Sequence[int] = FLOWS) -> Report:
     """The four steps at level, steps 2 and 3 sampling the given flows (a
-    tuple or a range of at most MAX_FLOWS integers)."""
+    tuple or a range of at most MAX_FLOWS integers); the level's Kac table
+    holds at most MAX_KAC_TABLE labels."""
+    kac = (level.u - 1) * (level.v - 1)
+    if kac > MAX_KAC_TABLE:
+        raise ValueError(f"the Kac table at {level} has {kac} labels; a run walks at most {MAX_KAC_TABLE}")
     if not flows:
         raise ValueError("no flows to sample: a pipeline run would check nothing")
     if flows[MAX_FLOWS:]:  # sliced, not len(): a range past sys.maxsize has no len

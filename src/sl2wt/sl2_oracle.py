@@ -29,16 +29,21 @@ from .arithmetic import AdmissibleLevel, Weight, as_weight, lam_rs
 # matrices of a window hold 6N + 1 entries, so memory grows with N as time does.
 MAX_WINDOW = 5000
 
-Poly = Tuple[Fraction, ...]  # coefficients of 1, w, w^2, ...
+# Coefficients of 1, w, w^2, ...  Every poly this module builds or accepts is
+# trimmed: its last coefficient is nonzero, and 0 is the empty tuple.  The
+# helpers below rely on that: a product's top coefficient a_m * b_n is never 0
+# (Q has no zero divisors), and a sum can only cancel at the top when both
+# terms have the same length.
+Poly = Tuple[Fraction, ...]
 
 _ZERO: Poly = ()
-_ONE: Poly = (Fraction(1),)
+_ONE: Poly = (Fraction(1),)  # up_coeff and down_coeff return this object, so _pmul tests identity
 _TWO: Poly = (Fraction(2),)
 _HALF = Fraction(1, 2)
 
 
 def _trim(cs: List[Fraction]) -> Poly:
-    while cs and cs[-1] == 0:
+    while cs and not cs[-1]:
         cs.pop()
     return tuple(cs)
 
@@ -52,52 +57,82 @@ def _shift(p: Poly, k: int) -> Poly:
     """p + k for an integer k."""
     if not p:
         return (Fraction(k),) if k else _ZERO
-    return _trim([p[0] + k, *p[1:]])
+    c = p[0] + k
+    if len(p) > 1:
+        return (c, *p[1:])
+    return (c,) if c else _ZERO
 
 
 def _padd(p: Poly, q: Poly) -> Poly:
+    """p + q."""
     if not p:
         return q
     if not q:
         return p
-    n = max(len(p), len(q))
-    return _trim([
-        (p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)
-    ])
+    lp, lq = len(p), len(q)
+    if lp == 1 == lq:
+        c = p[0] + q[0]
+        return (c,) if c else _ZERO
+    if lp < lq:
+        p, q, lp, lq = q, p, lq, lp
+    out = [a + b for a, b in zip(p, q)]
+    if lp == lq:
+        return _trim(out)
+    return (*out, *p[lq:])
 
 
 def _psub(p: Poly, q: Poly) -> Poly:
+    """p - q."""
     if not q:
         return p
-    n = max(len(p), len(q))
-    return _trim([
-        (p[i] if i < len(p) else 0) - (q[i] if i < len(q) else 0) for i in range(n)
-    ])
+    if not p:
+        return tuple([-b for b in q])
+    lp, lq = len(p), len(q)
+    if lp == 1 == lq:
+        c = p[0] - q[0]
+        return (c,) if c else _ZERO
+    out = [a - b for a, b in zip(p, q)]
+    if lp == lq:
+        return _trim(out)
+    if lp > lq:
+        return (*out, *p[lq:])
+    return (*out, *[-b for b in q[lp:]])
 
 
 def _pmul(p: Poly, q: Poly) -> Poly:
+    """p * q; a product of trimmed polys is trimmed, so it is not trimmed again."""
     if not p or not q:
         return _ZERO
-    if p == _ONE:
+    if p is _ONE:
         return q
-    if q == _ONE:
+    if q is _ONE:
         return p
     if len(p) == 1:
+        if len(q) == 1:
+            return (p[0] * q[0],)
         return _pscale(q, p[0])
     if len(q) == 1:
         return _pscale(p, q[0])
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return _trim(out)
+    # the first row p[0] * q, then each further row adds onto the overlap and
+    # appends its top term
+    a = p[0]
+    out = [a * b for b in q]
+    top = len(q) - 1
+    for i in range(1, len(p)):
+        a = p[i]
+        for j in range(top):
+            out[i + j] += a * q[j]
+        out.append(a * q[top])
+    return tuple(out)
 
 
 def _pscale(p: Poly, c) -> Poly:
     """c * p for an int or Fraction c."""
     if not c:
         return _ZERO
-    return tuple(a * c for a in p)
+    if len(p) == 1:
+        return (p[0] * c,)
+    return tuple([a * c for a in p])
 
 
 Vec = Dict[int, Poly]  # window vector: index i -> coefficient of v_{lam+2i}
@@ -234,11 +269,21 @@ class RelaxedWindow:
         return True
 
     def submodule_indices(self, mu: Weight) -> List[int]:
-        """Indices i with lam + 2i >= mu + 2, for mu = lam + 2*i0 in the window."""
+        """Indices i with lam + 2i >= mu + 2, for mu = lam + 2*i0 with
+        -N <= i0 <= N-1.
+
+        Any other i0 leaves the span empty or the whole window, so a
+        stability check on it would pass on no evidence; it raises ValueError.
+        """
         diff = (mu - self.lam) * Fraction(1, 2)
         if not diff.is_integral:
             raise ValueError(f"mu = {mu} is not in lam + 2Z")
         i0 = int(diff.a)
+        if not -self.window <= i0 <= self.window - 1:
+            raise ValueError(
+                f"(mu - lam)/2 = {i0} is outside [-N, N-1] for N = {self.window}: "
+                "the span would be empty or the whole window"
+            )
         return [i for i in range(-self.window, self.window + 1) if i >= i0 + 1]
 
     def is_submodule_stable(self, mu: Weight) -> bool:

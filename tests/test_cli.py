@@ -139,6 +139,8 @@ def _nested_sum(depth):
         # a flow range longer than MAX_FLOWS, refused before it is built
         ("pipeline", "--level", "5/3", "--flows=0..9999999999"),
         ("pipeline", "--level", "5/3", "--flows=0..99999999999999999999999"),
+        # a Kac table above MAX_KAC_TABLE, refused before the run
+        ("pipeline", "--level", "1001/1000"),
     ],
 )
 def test_invalid_input_is_a_usage_error(capsys, argv):

@@ -8,10 +8,12 @@ from sl2wt import weight_cat as wc
 from sl2wt import local_cat as lc
 from sl2wt import functors as fn
 from sl2wt import fusion as fu
+from sl2wt import pipeline
 from sl2wt.pipeline import (
     FLOWS,
     LAMBDA_SAMPLES,
     MAX_FLOWS,
+    MAX_KAC_TABLE,
     MultCheck,
     _typical_samples,
     expected_vacuum_factors,
@@ -145,6 +147,19 @@ def test_flows_must_be_nonempty_and_bounded():
         with pytest.raises(ValueError, match=f"at most {MAX_FLOWS} flows"):
             run_pipeline(lv, flows=long)
     assert run_pipeline(admissible_level(3, 2), flows=range(MAX_FLOWS)).verdict
+
+
+def test_kac_table_is_capped(monkeypatch):
+    # refused before any step runs; the cap is on (u-1)(v-1), inclusive
+    for u, v in ((1001, 1000), (41, 27), (10**9 + 1, 10**9)):
+        with pytest.raises(ValueError, match=f"at most {MAX_KAC_TABLE}"):
+            run_pipeline(admissible_level(u, v))
+    # every sweep level (u, v <= 12) and the benchmark's 13/8 are far below it
+    assert max((u - 1) * (v - 1) for u, v in ((12, 12), (13, 8))) < MAX_KAC_TABLE
+    monkeypatch.setattr(pipeline, "MAX_KAC_TABLE", 8)
+    assert run_pipeline(admissible_level(5, 3)).verdict  # (5-1)(3-1) = 8
+    with pytest.raises(ValueError, match="at most 8"):
+        run_pipeline(admissible_level(7, 3))
 
 
 def test_flow_range_gives_the_tuple_report():

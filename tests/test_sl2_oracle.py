@@ -77,6 +77,24 @@ def test_exact_sequence_witness():
         assert not bad.is_submodule_stable(wt(mu))
 
 
+def test_submodule_witness_refuses_an_empty_or_whole_span():
+    # A generic minus window with no reducibility point.  The span
+    # {lam + 2i >= mu + 2} is proper and nonempty only for -N <= i0 <= N-1;
+    # outside that a stability check would pass on no evidence.
+    lam, cas, n = F(1, 3), F(-2, 5), 4
+    win = build_relaxed(lam, cas, "minus", n)
+    assert reducibility_points(lam, cas, "minus", n) == []
+    for i0 in (n, n + 5, -(n + 1), -(n + 3)):
+        with pytest.raises(ValueError):
+            win.submodule_indices(wt(lam + 2 * i0))
+        with pytest.raises(ValueError):
+            win.is_submodule_stable(wt(lam + 2 * i0))
+    assert win.submodule_indices(wt(lam + 2 * (n - 1))) == [n]
+    assert win.submodule_indices(wt(lam - 2 * n)) == list(range(-n + 1, n + 1))
+    for i0 in (-n, 0, n - 1):
+        assert not win.is_submodule_stable(wt(lam + 2 * i0))
+
+
 def test_affine_singular_vector():
     for u, v in ((3, 2), (2, 3), (5, 3)):
         assert verify_affine_singular(admissible_level(u, v))
@@ -166,6 +184,15 @@ def _ref_mul(p, q):
     return _ref_trim(out)
 
 
+def _ref_sub(p, q):
+    n = max(len(p), len(q))
+    return _ref_trim([(p[i] if i < len(p) else 0) - (q[i] if i < len(q) else 0) for i in range(n)])
+
+
+def _ref_scale(p, c):
+    return _ref_trim([a * c for a in p])
+
+
 def reference_act(win, gen, vec):
     out = {}
     n = win.window
@@ -212,6 +239,48 @@ def reference_casimir(win):
         if total != _ref_combine((1, {i: cas})):
             return False
     return True
+
+
+_coef = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+_trimmed = st.just(()) | st.builds(lambda low, top: (*low, top), st.lists(_coef, max_size=2), _coef.filter(bool))
+
+
+@st.composite
+def _poly_pairs(draw):
+    """(p, q) trimmed, of length 0 to 3.  q is often built so that the top
+    terms cancel in p + q or in p - q, or is the unit: the module's _ONE or
+    an equal tuple of its own."""
+    p = draw(_trimmed)
+    how = draw(st.sampled_from(["any", "add_cancels", "sub_cancels", "one", "one_copy"]))
+    if how == "one":
+        q = so._ONE
+    elif how == "one_copy":
+        q = tuple([F(1)])
+        assert q == so._ONE and q is not so._ONE
+    elif how == "any" or not p:
+        q = draw(_trimmed)
+    else:
+        low = draw(st.lists(_coef, min_size=len(p) - 1, max_size=len(p) - 1))
+        q = (*low, -p[-1] if how == "add_cancels" else p[-1])
+    return (q, p) if draw(st.booleans()) else (p, q)
+
+
+@settings(max_examples=400, deadline=None)
+@given(pair=_poly_pairs(), k=st.integers(-3, 3), c=st.integers(-2, 2) | _coef, m=st.integers(-3, 3))
+def test_poly_helpers_match_reference_arithmetic(pair, k, c, m):
+    p, q = pair
+    results = [
+        (so._padd(p, q), _ref_add(p, q)),
+        (so._psub(p, q), _ref_sub(p, q)),
+        (so._pmul(p, q), _ref_mul(p, q)),
+        (so._shift(p, k), _ref_add(p, (F(k),))),
+        (so._pscale(p, c), _ref_scale(p, c)),
+        (so._shift((F(m),) if m else (), -m), ()),  # a shift to zero
+    ]
+    for got, want in results:
+        assert got == want, (p, q, k, c, m)
+        assert type(got) is tuple and all(type(a) is F for a in got)
+        assert not got or got[-1] != 0
 
 
 # generic models: no e or f coefficient vanishes and no h eigenvalue is 1/2
