@@ -158,8 +158,22 @@ class Weight:
     # -- coset reduction and predicates --
 
     def reduce(self, m: int) -> "Weight":
-        """Normalize the rational part into [0, m); the w-part is untouched."""
-        return Weight(self.p % (m * self.d), self.q, self.d)
+        """Normalize the rational part into [0, m) for m > 0; the w-part is
+        untouched.
+
+        The rational part is p/d, so the new numerator is p mod m*d, and a
+        weight already in range comes back as it is.  The new triple needs
+        no gcd: p mod m*d differs from p by a multiple of d, so
+        gcd(p mod m*d, q, d) = gcd(p, q, d) = 1.
+        """
+        p, md = self.p, m * self.d
+        if 0 <= p < md:
+            return self
+        out = object.__new__(Weight)
+        _set_p(out, p % md)
+        _set_q(out, self.q)
+        _set_d(out, self.d)
+        return out
 
     @property
     def is_rational(self) -> bool:

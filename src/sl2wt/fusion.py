@@ -6,15 +6,17 @@ Grothendieck-level solver transfers arbitrary products of effective classes
 through the induction functor.  Induction is unitriangular on Grothendieck
 groups: the top of F(z) is tau(z) and every lower factor sits at a higher
 flow.  So the solver computes the induced product in the extended fusion ring
-and peels it term by term, lowest flow first, into the unique effective
-preimage, raising NoSolution when no effective class induces to it.  A term
-whose coefficient is already zero when the peel reaches it starts no step,
-so tau is inverted (one restriction each) only on the terms that do.
+and peels it flow by flow, lowest first, into the unique effective preimage,
+raising NoSolution when no effective class induces to it.  Peeling a term
+changes only higher flows, so the terms of one flow may go in any order.  A
+term whose coefficient is already zero when the peel reaches it starts no
+step, so tau is inverted (one restriction each) only on the terms that do.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import attrgetter
 from typing import Dict, List, Optional
 
 from .arithmetic import AdmissibleLevel, check_rs, lam_rs
@@ -127,19 +129,25 @@ def _induced_class(level: AdmissibleLevel, z: wc.SimpleCLabel) -> lc.GrothA:
 
 
 def _peel_order(w: lc.SimpleALabel):
+    """The label order that error messages name their label by."""
     return (w.flow, w.sort_key())
 
 
-def _candidates(level: AdmissibleLevel, p: lc.GrothA) -> List[lc.SimpleALabel]:
-    """The terms of p in peel order, lowest flow first.
+_flow = attrgetter("flow")
 
-    Every lower factor of F(z) sits at a higher flow than its top tau(z), so
-    in this order each term's coefficient is final by the time it is reached.
-    The solver inverts tau only on the terms still nonzero then.  level goes
-    unused; the signature stays because ``bench/layers.py`` wraps this
-    function to count p's terms per solve.
+
+def _candidates(level: AdmissibleLevel, p: lc.GrothA) -> List[lc.SimpleALabel]:
+    """The terms of p in peel order: flow by flow, lowest first.
+
+    Every lower factor of F(z) sits at a strictly higher flow than its top
+    tau(z), so peeling a term changes no other term of its own flow: all
+    coefficients of a flow are final once the peel reaches it, and the order
+    within the flow is free.  Sorting on the flow alone builds none of the
+    Fractions of a full label key.  The solver inverts tau only on the terms
+    still nonzero then.  level goes unused; the signature stays because
+    ``bench/layers.py`` wraps this function to count p's terms per solve.
     """
-    return sorted(p.support(), key=_peel_order)
+    return sorted(p.support(), key=_flow)
 
 
 def _subtract(residual: Dict[lc.SimpleALabel, int], n: int, cls: lc.GrothA) -> None:
@@ -161,11 +169,13 @@ def groth_fuse_C(level: AdmissibleLevel, x: wc.GrothC, y: wc.GrothC) -> wc.Groth
     """Fusion of effective classes, solved through the induction functor.
 
     Computes p = F(x)*F(y) in the extended ring and peels it by
-    unitriangularity: the lowest-flow term w not yet reached, with
+    unitriangularity: a term w of the lowest flow not yet reached, with
     coefficient n in what is left, fixes n copies of z = tau^-1(w), and
     n*F(z) is subtracted.  Raises NoSolution, naming a label and its
     coefficient, if a negative coefficient is reached, if anything is left
-    over, or if the functor itself does not send the result back to p.
+    over, or if the functor itself does not send the result back to p.  The
+    label named is the first in ``_peel_order`` among those at fault, so the
+    message does not depend on the order within a flow.
     """
     if not (x.is_effective and y.is_effective):
         raise ValueError("solver inputs must be effective (nonnegative) classes")
@@ -174,10 +184,14 @@ def groth_fuse_C(level: AdmissibleLevel, x: wc.GrothC, y: wc.GrothC) -> wc.Groth
     p = groth_F(level, x) * groth_F(level, y)
     residual: Dict[lc.SimpleALabel, int] = dict(p.items())
     out: Dict[wc.SimpleCLabel, int] = {}
-    for w in _candidates(level, p):
+    order = _candidates(level, p)
+    for w in order:
         n = residual.get(w, 0)
         if n < 0:
-            raise NoSolution(f"coefficient {n} at {w} when peeled")
+            # every coefficient of this flow is final: name the first negative
+            negatives = (v for v in order if v.flow == w.flow and residual.get(v, 0) < 0)
+            w = min(negatives, key=_peel_order)
+            raise NoSolution(f"coefficient {residual[w]} at {w} when peeled")
         if n:
             z = tau_inverse(level, w)
             out[z] = n
@@ -185,9 +199,11 @@ def groth_fuse_C(level: AdmissibleLevel, x: wc.GrothC, y: wc.GrothC) -> wc.Groth
     if residual:
         raise NoSolution(f"{_lowest_left(residual)} after peeling")
     # the peel only shows sum n*_induced_class(z) = p: re-induce the result
-    # through the functor, so that a wrong class there cannot certify itself
+    # through the functor, so that a wrong class there cannot certify itself;
+    # latest peel first, so that the induction memo still holds those labels
+    # when the result has more labels than the memo
     residual = dict(p.items())
-    for z, n in out.items():
+    for z, n in reversed(out.items()):
         _subtract(residual, n, lc.comp_factors_a(level, induce_simple(level, z)))
     if residual:
         raise NoSolution(f"F(result) differs from the product: {_lowest_left(residual)}")

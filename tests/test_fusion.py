@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -207,6 +208,80 @@ def test_solver_inverts_only_what_it_peels(monkeypatch, level):
         assert {original(level, w) for w in calls} == result.support()
         passed_over += len(p.support()) - len(calls)
     assert passed_over > 0
+
+
+def _solve(level, x, y):
+    """The product, or the text of the NoSolution it raises."""
+    try:
+        return fu.groth_fuse_C(level, x, y)
+    except fu.NoSolution as exc:
+        return str(exc)
+
+
+def _lower_factors_doubled(original):
+    """A wrong induced class: every factor below the top counted twice, so
+    the peel drives terms negative, often several of one flow."""
+
+    def doubled(lv, z):
+        cls = original(lv, z)
+        top = min(w.flow for w in cls.support())
+        return lc.GrothA({w: n if w.flow == top else 2 * n for w, n in cls.items()}, cls.fuse)
+
+    return doubled
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_order_within_a_flow_is_free(monkeypatch, level, order):
+    # peeling a term changes only higher flows, so permuting the terms of
+    # each flow in _candidates changes neither a product nor the text of a
+    # NoSolution, which names the first label at fault in _peel_order
+    original = fu._candidates
+    permute = list.reverse if order == "reversed" else rng(59).shuffle
+
+    def within_flows(lv, p):
+        groups = [list(g) for _, g in itertools.groupby(original(lv, p), key=lambda w: w.flow)]
+        for g in groups:
+            permute(g)
+        return [w for g in groups for w in g]
+
+    r = rng(58)
+    products = [
+        tuple(wc.GrothC.of(*(random_label(level, r) for _ in range(size))) for _ in range(2))
+        for size in (1, 1, 2, 3, 4)
+    ]
+    wrong_class = _lower_factors_doubled(fu._induced_class)
+
+    def solve_all():
+        right = [_solve(level, x, y) for x, y in products]
+        with monkeypatch.context() as m:
+            m.setattr(fu, "_induced_class", wrong_class)
+            wrong = [_solve(level, x, y) for x, y in products]
+        return right, wrong
+
+    right, wrong = solve_all()
+    assert not any(isinstance(z, str) for z in right)
+    assert any(isinstance(z, str) and z.endswith("when peeled") for z in wrong)
+    monkeypatch.setattr(fu, "_candidates", within_flows)
+    assert solve_all() == (right, wrong)
+
+
+def test_product_larger_than_the_induction_memo(monkeypatch):
+    # an 8-label product at 11/6 whose result has more labels than the
+    # induction memo holds: the certificate re-induces the latest peels
+    # first, so the memo still answers a full table of them, and the solve
+    # gives the same class cold, warm and with no memo at all
+    lv = admissible_level(11, 6)
+    r = rng(1)
+    x, y = (wc.GrothC.of(*(random_label(lv, r) for _ in range(8))) for _ in range(2))
+    memo = fn.induce_simple
+    memo.cache_clear()
+    cold = fu.groth_fuse_C(lv, x, y)
+    assert len(cold.support()) > memo.cache_info().maxsize
+    assert memo.cache_info().hits >= memo.cache_info().maxsize
+    assert fu.groth_fuse_C(lv, x, y) == cold
+    monkeypatch.setattr(fn, "induce_simple", memo.__wrapped__)
+    monkeypatch.setattr(fu, "induce_simple", memo.__wrapped__)
+    assert fu.groth_fuse_C(lv, x, y) == cold
 
 
 @st.composite

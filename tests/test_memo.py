@@ -1,9 +1,10 @@
 """The per-process memos of the hot path are transparent.
 
-``functors.restrict_simple`` is memoized, and ``fusion`` keeps the class of
-F(A) per level.  A memo must give the uncached answer, the shared F(A) class
-must survive a pipeline run unchanged, and no memo may carry a step-2 route's
-result from one run into the next.
+``functors.restrict_simple`` and ``functors.induce_simple`` are memoized, and
+``fusion`` keeps the class of F(A) per level.  A memo must give the uncached
+answer on a miss and on a hit, the shared F(A) class must survive a pipeline
+run unchanged, and no memo may carry a step-2 route's result from one run
+into the next.
 """
 
 import pytest
@@ -16,6 +17,7 @@ from sl2wt import fusion as fu
 from sl2wt.pipeline import expected_vacuum_factors, run_pipeline
 
 from conftest import TEST_LEVELS, random_fraction, random_weight, rng
+from test_weight_cat import random_label
 
 MEMO_LEVELS = TEST_LEVELS + [(13, 8)]
 
@@ -56,6 +58,30 @@ def test_restrict_memo_is_transparent(uv):
         fresh = fn.restrict_simple.__wrapped__(lv, y)
         assert fn.restrict_simple(lv, y) == fresh  # miss or hit
         assert fn.restrict_simple(lv, y) == fresh  # hit
+
+
+def _induce_branch(x) -> str:
+    """Which case of the induction table x falls into."""
+    if not x.is_typical:
+        return "atypical"
+    return "typical w-lam" if x.lam.q else "typical rational lam"
+
+
+@pytest.mark.parametrize("uv", MEMO_LEVELS, ids=lambda uv: f"{uv[0]}-{uv[1]}")
+def test_induce_memo_is_transparent(uv):
+    lv = admissible_level(*uv)
+    r = rng(uv[0] * 100 + uv[1] + 1)
+    labels = list(dict.fromkeys(random_label(lv, r) for _ in range(40)))
+    assert {_induce_branch(x) for x in labels} == {"atypical", "typical w-lam", "typical rational lam"}
+    fn.induce_simple.cache_clear()
+    for x in labels:
+        fresh = fn.induce_simple.__wrapped__(lv, x)
+        misses = fn.induce_simple.cache_info().misses
+        assert fn.induce_simple(lv, x) == fresh
+        assert fn.induce_simple.cache_info().misses == misses + 1
+        hits = fn.induce_simple.cache_info().hits
+        assert fn.induce_simple(lv, x) == fresh
+        assert fn.induce_simple.cache_info().hits == hits + 1
 
 
 def test_vacuum_class_survives_a_pipeline_run():
