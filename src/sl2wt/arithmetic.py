@@ -175,6 +175,20 @@ class Weight:
         _set_d(out, self.d)
         return out
 
+    def on_coset(self, c: Rational, m: int, sign: int = 1) -> bool:
+        """Whether the weight lies on sign*c + mZ, for an exact rational c,
+        m > 0 and sign = +-1; the same answer as ``not (self - sign*c).reduce(m)``.
+
+        The test is exact and builds nothing.  w is a formal irrational, so a
+        weight with a nonzero w-part lies on no rational coset.  Otherwise,
+        with c = a/b in lowest terms, self - sign*c = (p*b - sign*a*d)/(d*b),
+        which lies in mZ exactly when m*d*b divides the integer p*b - sign*a*d.
+        """
+        if self.q:
+            return False
+        b = c.denominator
+        return (self.p * b - sign * c.numerator * self.d) % (m * self.d * b) == 0
+
     @property
     def is_rational(self) -> bool:
         return self.q == 0
@@ -225,8 +239,11 @@ _set_p, _set_q, _set_d = (vars(Weight)[name].__set__ for name in Weight.__slots_
 
 def _triple(x: Union[Weight, Rational]) -> Tuple[int, int, int]:
     """(p, q, d) of a weight or an exact rational."""
-    if x.__class__ is Weight:
+    cls = x.__class__
+    if cls is Weight:
         return x.p, x.q, x.d
+    if cls is Fraction:
+        return x.numerator, 0, x.denominator
     n, m = _ratio(x)
     return n, 0, m
 
@@ -397,6 +414,15 @@ class Groth:
 
     ``fuse`` maps two basis labels to the class of their product and makes
     ``*`` the ring product; without it the class lives in a Z-module only.
+
+    ``coeffs`` never holds a zero, so equality is dict equality and the
+    support is the key set.  A class owns its dict, and nothing writes into
+    that dict once the class is handed out: classes are shared (the fusion
+    module caches the class of F(A), and callers keep what ``comp_factors``
+    returns).  So a sum is accumulated through :meth:`_add_to` into the dict
+    of a class its builder has just made, or into a fresh dict that
+    :meth:`_own` then wraps without a copy or a zero filter.  The public
+    ``Groth(coeffs)`` copies its argument and drops its zeros.
     """
 
     __slots__ = ("coeffs", "fuse")
@@ -406,11 +432,33 @@ class Groth:
         self.fuse = fuse
 
     @classmethod
+    def _own(cls, coeffs: Dict[Hashable, int], fuse: Optional[Callable] = None) -> "Groth":
+        """The class of coeffs, taken as it is: coeffs holds no zero, and the
+        new class owns it."""
+        out = object.__new__(cls)
+        out.coeffs = coeffs
+        out.fuse = fuse
+        return out
+
+    def _add_to(self, out: Dict[Hashable, int], n: int = 1) -> None:
+        """out += n * self in place, deleting the entries that reach zero;
+        out belongs to the caller and holds no zero."""
+        if not n:
+            return
+        get = out.get
+        for x, c in self.coeffs.items():
+            m = get(x, 0) + n * c
+            if m:
+                out[x] = m
+            else:
+                del out[x]
+
+    @classmethod
     def of(cls, *labels: Hashable, fuse=None) -> "Groth":
         out: Dict[Hashable, int] = {}
         for x in labels:
             out[x] = out.get(x, 0) + 1
-        return cls(out, fuse)
+        return cls._own(out, fuse)
 
     def multiplicity(self, label) -> int:
         return self.coeffs.get(label, 0)
@@ -431,9 +479,8 @@ class Groth:
 
     def __add__(self, other: "Groth") -> "Groth":
         out = dict(self.coeffs)
-        for x, n in other.coeffs.items():
-            out[x] = out.get(x, 0) + n
-        return Groth(out, self.fuse)
+        other._add_to(out)
+        return Groth._own(out, self.fuse)
 
     def __sub__(self, other: "Groth") -> "Groth":
         return self + -other
@@ -444,19 +491,19 @@ class Groth:
     def __rmul__(self, n: int) -> "Groth":
         if not isinstance(n, int):
             return NotImplemented
-        return Groth({x: n * c for x, c in self.coeffs.items()}, self.fuse)
+        return Groth._own({x: n * c for x, c in self.coeffs.items()} if n else {}, self.fuse)
 
     def __mul__(self, other: "Groth") -> "Groth":
         if isinstance(other, int):
             return self.__rmul__(other)
-        if self.fuse is None:
+        fuse = self.fuse
+        if fuse is None:
             return NotImplemented
         out: Dict[Hashable, int] = {}
         for x, n in self.coeffs.items():
             for y, m in other.coeffs.items():
-                for z, c in self.fuse(x, y).items():
-                    out[z] = out.get(z, 0) + n * m * c
-        return Groth(out, self.fuse)
+                fuse(x, y)._add_to(out, n * m)
+        return Groth._own(out, fuse)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Groth) and self.coeffs == other.coeffs

@@ -35,9 +35,9 @@ _HALF = Fraction(1, 2)
 def restrict_simple(level: AdmissibleLevel, y: lc.SimpleALabel) -> wc.CObject:
     """Restriction of a simple extended-algebra module to the weight category."""
     flow = y.flow + 1
-    if (y.lam - nu_rs(level, y.r, y.s)).is_integral:
+    if y.lam.on_coset(nu_rs(level, y.r, y.s), 1):
         return wc.Eminus(level.u - y.r, level.v - y.s, flow)
-    if (y.lam - nu_rs(level, level.u - y.r, level.v - y.s)).is_integral:
+    if y.lam.on_coset(nu_rs(level, level.u - y.r, level.v - y.s), 1):
         return wc.Eminus(y.r, y.s, flow)
     return wc.Simple(wc.typical(level, y.r, y.s, 2 * y.lam - level.k, flow))
 
@@ -89,11 +89,6 @@ def tau_inverse(level: AdmissibleLevel, y: lc.SimpleALabel) -> wc.SimpleCLabel:
     return wc.dminus(level, res.r, res.s, res.flow)
 
 
-def frobenius_dim(level: AdmissibleLevel, x: wc.SimpleCLabel, y: lc.SimpleALabel) -> int:
-    """dim Hom(F(x), y) = multiplicity of x in the socle of the restriction of y."""
-    return 1 if tau_inverse(level, y) == x else 0
-
-
 def groth_F(level: AdmissibleLevel, x: wc.GrothC) -> lc.GrothA:
     """Induction on Grothendieck groups, basis label by basis label."""
     total = lc.a_class(level)
@@ -106,5 +101,5 @@ def groth_restrict(level: AdmissibleLevel, p: lc.GrothA) -> wc.GrothC:
     """Restriction on Grothendieck groups."""
     total = wc.GrothC()
     for lbl, n in p.items():
-        total = total + n * wc.comp_factors(level, restrict_simple(level, lbl))
+        wc.comp_factors(level, restrict_simple(level, lbl))._add_to(total.coeffs, n)
     return total

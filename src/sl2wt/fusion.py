@@ -92,7 +92,8 @@ def a_tensor_restriction(level: AdmissibleLevel, y: lc.SimpleALabel) -> wc.Groth
     (l+2, lam-t) and (l+1, lam-t/2) at Kac labels (r, s-+1), components with
     s-part 0 or v dropped.
     """
-    total = wc.comp_factors(level, restrict_simple(level, y))
+    total = wc.GrothC()
+    wc.comp_factors(level, restrict_simple(level, y))._add_to(total.coeffs)
     pieces = [(y.r, y.s, y.flow + 2, y.lam - level.t)]
     pieces += [
         (y.r, s2, y.flow + 1, y.lam - level.half_t)
@@ -101,7 +102,7 @@ def a_tensor_restriction(level: AdmissibleLevel, y: lc.SimpleALabel) -> wc.Groth
     ]
     for r2, s2, f2, lam2 in pieces:
         z = lc.simple_a(level, r2, s2, f2, lam2)
-        total = total + wc.comp_factors(level, restrict_simple(level, z))
+        wc.comp_factors(level, restrict_simple(level, z))._add_to(total.coeffs)
     return total
 
 
@@ -150,16 +151,6 @@ def _candidates(level: AdmissibleLevel, p: lc.GrothA) -> List[lc.SimpleALabel]:
     return sorted(p.support(), key=_flow)
 
 
-def _subtract(residual: Dict[lc.SimpleALabel, int], n: int, cls: lc.GrothA) -> None:
-    """residual -= n * cls in place, dropping the entries that reach zero."""
-    for v, m in cls.items():
-        left = residual.get(v, 0) - n * m
-        if left:
-            residual[v] = left
-        else:
-            del residual[v]
-
-
 def _lowest_left(residual: Dict[lc.SimpleALabel, int]) -> str:
     w = min(residual, key=_peel_order)
     return f"coefficient {residual[w]} left at {w}"
@@ -195,7 +186,7 @@ def groth_fuse_C(level: AdmissibleLevel, x: wc.GrothC, y: wc.GrothC) -> wc.Groth
         if n:
             z = tau_inverse(level, w)
             out[z] = n
-            _subtract(residual, n, _induced_class(level, z))
+            _induced_class(level, z)._add_to(residual, -n)
     if residual:
         raise NoSolution(f"{_lowest_left(residual)} after peeling")
     # the peel only shows sum n*_induced_class(z) = p: re-induce the result
@@ -204,7 +195,7 @@ def groth_fuse_C(level: AdmissibleLevel, x: wc.GrothC, y: wc.GrothC) -> wc.Groth
     # when the result has more labels than the memo
     residual = dict(p.items())
     for z, n in reversed(out.items()):
-        _subtract(residual, n, lc.comp_factors_a(level, induce_simple(level, z)))
+        lc.comp_factors_a(level, induce_simple(level, z))._add_to(residual, -n)
     if residual:
         raise NoSolution(f"F(result) differs from the product: {_lowest_left(residual)}")
     return wc.GrothC(out)

@@ -209,18 +209,15 @@ def build_R(level: AdmissibleLevel, r: int, s: int, lam, flow: int) -> RObject:
     check_rs(level, r, s)
     w = as_weight(lam).reduce(1)
     top = (simple_a(level, r, s, flow, w),)
+    mid = tuple(
+        simple_a(level, r, s2, flow + 1, w - level.half_t)
+        for s2 in (s - 1, s + 1)
+        if 1 <= s2 <= level.v - 1
+    )
     # the middle labels share flow and lam, and their canonical Kac labels
     # differ (u and v are coprime), so (r, s) gives the sort_key order
-    mid = tuple(
-        sorted(
-            (
-                simple_a(level, r, s2, flow + 1, w - level.half_t)
-                for s2 in (s - 1, s + 1)
-                if 1 <= s2 <= level.v - 1
-            ),
-            key=lambda x: (x.r, x.s),
-        )
-    )
+    if len(mid) == 2 and (mid[1].r, mid[1].s) < (mid[0].r, mid[0].s):
+        mid = mid[::-1]
     bot = (simple_a(level, r, s, flow + 2, w - level.t),)
     layers = tuple(layer for layer in (top, mid, bot) if layer)
     r, s = min((r, s), (level.u - r, level.v - s))
@@ -269,7 +266,7 @@ def comp_factors_a(level: AdmissibleLevel, x: AObject) -> GrothA:
     if isinstance(x, ADirectSum):
         total = a_class(level)
         for p in x.parts:
-            total = total + comp_factors_a(level, p)
+            comp_factors_a(level, p)._add_to(total.coeffs)
         return total
     raise TypeError(f"not a catalogued object: {x!r}")
 

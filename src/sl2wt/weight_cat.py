@@ -80,8 +80,8 @@ def typical(level: AdmissibleLevel, r: int, s: int, lam, flow: int = 0) -> Simpl
     check_rs(level, r, s)
     w = as_weight(lam).reduce(2)
     lam_r = lam_rs(level, r, s)
-    for sign, gap in (("+", w - lam_r), ("-", w + lam_r)):
-        if not gap.reduce(2):
+    for sign, factor in (("+", 1), ("-", -1)):
+        if w.on_coset(lam_r, 2, factor):
             raise NotSimple(f"E({w};{r},{s}) is reducible: lam = {sign}lambda_{{r,s}} mod 2Z")
     r, s = min((r, s), (level.u - r, level.v - s))
     return SimpleCLabel(flow, r, s, w)
@@ -204,11 +204,6 @@ def direct_sum(parts: Iterable[CObject]) -> CObject:
     return DirectSum(parts)
 
 
-def vacuum_extension(level: AdmissibleLevel) -> CObject:
-    """The free-field algebra restricted to the weight category: sigma(E-_{u-1,v-1})."""
-    return Eminus(level.u - 1, level.v - 1, 1)
-
-
 def spectral_flow(x, m: int):
     """sigma^m, adding m to every flow index (labels and catalog tags alike)."""
     if isinstance(x, SimpleCLabel):
@@ -306,10 +301,12 @@ def comp_factors(level: AdmissibleLevel, x: CObject) -> GrothC:
         else:
             sub = Eminus(x.r, v - 1, x.flow + 2)
             quo = Eminus(u - x.r, 1, x.flow)
-        return comp_factors(level, sub) + comp_factors(level, quo)
-    if isinstance(x, DirectSum):
-        total = GrothC()
-        for p in x.parts:
-            total = total + comp_factors(level, p)
-        return total
-    raise TypeError(f"not a catalogued object: {x!r}")
+        parts = (sub, quo)
+    elif isinstance(x, DirectSum):
+        parts = x.parts
+    else:
+        raise TypeError(f"not a catalogued object: {x!r}")
+    total = GrothC()
+    for p in parts:
+        comp_factors(level, p)._add_to(total.coeffs)
+    return total

@@ -18,9 +18,12 @@ from sl2wt import (
     pi_conf_weight,
     wt,
 )
-from sl2wt.arithmetic import as_weight, delta_rs, h_rs, lam_rs, nu_rs
+from sl2wt.arithmetic import Groth, as_weight, delta_rs, h_rs, lam_rs, nu_rs
 from sl2wt import functors as fn
+from sl2wt import fusion as fu
 from sl2wt import local_cat as lc
+from sl2wt import weight_cat as wc
+from sl2wt.pipeline import run_pipeline
 
 from conftest import TEST_LEVELS, random_weight, rng
 
@@ -279,3 +282,120 @@ def test_label_and_functor_hot_path_builds_no_fraction(monkeypatch, uv):
         x = fn.tau_inverse(level, y)
         fn.induce_simple(level, x)
         lc.a_fuse(level, y, labels[0])
+
+
+# -- sums in place: Groth._add_to, and the sums and products built on it --
+
+_LEVEL_53 = admissible_level(5, 3)
+_A_LABELS = [
+    lc.simple_a(_LEVEL_53, r, s, flow, lam)
+    for r, s, flow, lam in ((1, 1, 0, 0), (1, 2, 1, F(1, 3)), (2, 1, 0, OMEGA), (2, 2, -1, F(1, 2)), (1, 1, 2, OMEGA))
+]
+_classes = st.dictionaries(st.sampled_from(_A_LABELS), st.integers(-3, 3), max_size=5).map(
+    lambda coeffs: Groth(coeffs, lc.a_class(_LEVEL_53).fuse)
+)
+_terms = st.lists(st.tuples(st.integers(-3, 3), _classes), max_size=8)
+
+
+def _fold(terms):
+    """The reference sum, through the public + and -."""
+    total = Groth()
+    for n, cls in terms:
+        total = total + n * cls if n >= 0 else total - (-n) * cls
+    return total
+
+
+def _model(terms):
+    """The reference sum, on plain dicts."""
+    out = {}
+    for n, cls in terms:
+        for x, c in cls.items():
+            out[x] = out.get(x, 0) + n * c
+    return {x: c for x, c in out.items() if c}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_terms)
+@example([(1, Groth({_A_LABELS[0]: 2})), (-2, Groth({_A_LABELS[0]: 1, _A_LABELS[1]: 1})), (1, Groth({_A_LABELS[1]: 2}))])
+@example([(0, Groth({_A_LABELS[0]: 1}))])
+def test_sums_in_place_match_the_fold(terms):
+    before = [dict(cls.coeffs) for _, cls in terms]
+    out = {}
+    for n, cls in terms:
+        cls._add_to(out, n)
+        assert 0 not in out.values()
+    assert out == _fold(terms).coeffs == _model(terms)
+    assert [cls.coeffs for _, cls in terms] == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(_classes, _classes)
+def test_product_in_place_matches_the_model(a, b):
+    before = (dict(a.coeffs), dict(b.coeffs))
+    model = {}
+    for x, n in a.items():
+        for y, m in b.items():
+            for z, c in lc.a_fuse(_LEVEL_53, x, y).items():
+                model[z] = model.get(z, 0) + n * m * c
+    got = a * b
+    assert got.coeffs == {z: c for z, c in model.items() if c}
+    assert (a + b) - b == a and (a - a).is_zero
+    assert (a.coeffs, b.coeffs) == before
+    assert (0 * a).is_zero and (-1 * a + a).is_zero
+
+
+def test_pipeline_leaves_the_shared_vacuum_class_alone():
+    level = admissible_level(5, 3)
+    shared = fu._vacuum_class(level)
+    before = dict(shared.coeffs)
+    assert run_pipeline(level).verdict
+    assert fu._vacuum_class(level) is shared and shared.coeffs == before
+    assert before == lc.comp_factors_a(level, fn.induce_vacuum(level)).coeffs
+
+
+# -- coset tests on integers: Weight.on_coset --
+
+
+@settings(max_examples=400, deadline=None)
+@given(_pairs, _fractions | st.integers(-9, 9), st.sampled_from([1, 2]), st.sampled_from([1, -1]),
+       st.booleans(), st.integers(-5, 5))
+def test_on_coset_matches_the_reduction(pair, c, m, sign, place, j):
+    a, b = pair
+    if place:  # put the rational part on the coset, so that True cases come up
+        a = sign * c + m * j
+    x = Weight(a, b)
+    assert x.on_coset(c, m, sign) == (not (x - sign * c).reduce(m))
+    assert x.on_coset(c, m, sign) == (b == 0 and (F(a - sign * c) / m).denominator == 1)
+
+
+def _refused_before(level, r, s, lam):
+    """The NotSimple text of the earlier typical(), which reduced the gaps, or None."""
+    w = as_weight(lam).reduce(2)
+    lam_r = lam_rs(level, r, s)
+    for sign, gap in (("+", w - lam_r), ("-", w + lam_r)):
+        if not gap.reduce(2):
+            return f"E({w};{r},{s}) is reducible: lam = {sign}lambda_{{r,s}} mod 2Z"
+    return None
+
+
+@pytest.mark.parametrize("uv", TEST_LEVELS, ids=lambda uv: f"{uv[0]}-{uv[1]}")
+def test_typical_refuses_the_same_lams(uv):
+    level = admissible_level(*uv)
+    # every lam with denominator 2uv in [-4, 4], and each shifted by w
+    den = 2 * level.u * level.v
+    lams = [F(j, den) for j in range(-4 * den, 4 * den + 1)]
+    lams += [lam + OMEGA for lam in lams[::7]]
+    refused = 0
+    for r in range(1, level.u):
+        for s in range(1, level.v):
+            for lam in lams:
+                text = _refused_before(level, r, s, lam)
+                if text is None:
+                    assert wc.typical(level, r, s, lam).lam == as_weight(lam).reduce(2)
+                    continue
+                refused += 1
+                with pytest.raises(wc.NotSimple) as err:
+                    wc.typical(level, r, s, lam)
+                assert str(err.value) == text
+    # each label refuses its two cosets +-lambda_{r,s} + 2Z, four times each in [-4, 4]
+    assert refused >= 4 * (level.u - 1) * (level.v - 1)

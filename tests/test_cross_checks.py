@@ -18,6 +18,7 @@ from sl2wt import functors as fn
 from sl2wt import fusion as fu
 
 from conftest import random_weight, rng
+from test_weight_cat import vacuum_extension
 
 V3_LEVELS = [admissible_level(u, v) for u, v in ((2, 3), (3, 4), (5, 3), (4, 3))]
 
@@ -134,7 +135,7 @@ def test_key_product_summands_via_free_field(uv):
 
 def test_solver_on_algebra_class_square(level):
     # [A]^2 = [1] + 2[Q] + [Q x Q] with Q the simple quotient of A
-    a_class = wc.comp_factors(level, wc.vacuum_extension(level))
+    a_class = wc.comp_factors(level, vacuum_extension(level))
     got = fu.groth_fuse_C(level, a_class, a_class)
     q = wc.atypical(level, 1, 1, 1)
     expect = (
@@ -150,7 +151,7 @@ def test_v2_algebra_times_simple_current(uv):
     # at v = 2 the quotient of A is a flow of the order-2 simple current
     # L(u-1,0), and A x sigma^2(L(u-1,0)) has the factors of sigma^3(E-(1,1))
     level = admissible_level(*uv)
-    a_class = wc.comp_factors(level, wc.vacuum_extension(level))
+    a_class = wc.comp_factors(level, vacuum_extension(level))
     current = wc.GrothC.of(wc.lr0(level, level.u - 1, 2))
     assert current == wc.GrothC.of(wc.atypical(level, 1, 1, 1))  # = the quotient Q
     got = fu.groth_fuse_C(level, a_class, current)

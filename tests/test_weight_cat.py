@@ -10,6 +10,11 @@ from sl2wt import weight_cat as wc
 from conftest import random_weight, rng
 
 
+def vacuum_extension(level):
+    """The free-field algebra restricted to the weight category: sigma(E-_{u-1,v-1})."""
+    return wc.Eminus(level.u - 1, level.v - 1, 1)
+
+
 def random_label(level, r, typicals=True):
     u, v = level.u, level.v
     flow = r.randint(-5, 5)
@@ -88,7 +93,7 @@ def test_spectral_flow_group_action():
 def test_flow_of_vacuum_extension():
     for u, v in ((5, 3), (3, 2)):
         lv = admissible_level(u, v)
-        assert wc.spectral_flow(wc.Eminus(u - 1, v - 1, 0), 1) == wc.vacuum_extension(lv)
+        assert wc.spectral_flow(wc.Eminus(u - 1, v - 1, 0), 1) == vacuum_extension(lv)
 
 
 def test_contragredient_formulas():
@@ -130,7 +135,7 @@ def test_comp_factors_eplus_eminus():
 def test_comp_factors_vacuum_extension():
     for u, v in ((5, 3), (3, 2), (2, 3)):
         lv = admissible_level(u, v)
-        got = wc.comp_factors(lv, wc.vacuum_extension(lv))
+        got = wc.comp_factors(lv, vacuum_extension(lv))
         assert got == wc.GrothC.of(
             wc.SimpleCLabel(-1, u - 1, v - 1, None), wc.atypical(lv, 1, 1, 1)
         )
