@@ -25,6 +25,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from typing import Union
 
 from .arithmetic import Weight, admissible_level, kac_data
 from . import weight_cat as wc
@@ -94,7 +95,7 @@ def parse_alabel(level, text: str) -> lc.SimpleALabel:
     return _read_label(lc.label_from_json, level, "A", text)
 
 
-def parse_aobject(level, text: str) -> lc.AObject:
+def parse_aobject(level, text: str) -> Union[lc.AObject, lc.ADirectSum]:
     return _read_label(lc.aobject_from_json, level, "A", text)
 
 

@@ -36,10 +36,12 @@ def restrict_simple(level: AdmissibleLevel, y: lc.SimpleALabel) -> wc.CObject:
     """Restriction of a simple extended-algebra module to the weight category."""
     flow = y.flow + 1
     if y.lam.on_coset(nu_rs(level, y.r, y.s), 1):
-        return wc.Eminus(level.u - y.r, level.v - y.s, flow)
+        return wc.eminus(level, level.u - y.r, level.v - y.s, flow)
     if y.lam.on_coset(nu_rs(level, level.u - y.r, level.v - y.s), 1):
-        return wc.Eminus(y.r, y.s, flow)
-    return wc.Simple(wc.typical(level, y.r, y.s, 2 * y.lam - level.k, flow))
+        return wc.eminus(level, y.r, y.s, flow)
+    # off both cosets nu mod Z, 2*lam-k is off +-lambda_{r,s} mod 2Z, since
+    # (k + lambda_{r,s})/2 = nu_{r,s} - 1 and (k - lambda_{r,s})/2 = nu_{u-r,v-s}
+    return wc.simple(wc._typical(level, y.r, y.s, (2 * y.lam - level.k).reduce(2), flow))
 
 
 def tau(level: AdmissibleLevel, x: wc.SimpleCLabel) -> lc.SimpleALabel:
@@ -78,15 +80,12 @@ def induce_vacuum(level: AdmissibleLevel) -> lc.ADirectSum:
     and socle M(1,1) x Pi_2(-t) for v >= 3, and collapses to the simple
     M(1,1) x Pi_2(t) when v = 2.
     """
-    return lc.ADirectSum((lc.ASimple(lc.unit_a(level)), lc.build_M(level, 1, 2, 1)))
+    return lc.ADirectSum((lc.a_simple(lc.unit_a(level)), lc.build_M(level, 1, 2, 1)))
 
 
 def tau_inverse(level: AdmissibleLevel, y: lc.SimpleALabel) -> wc.SimpleCLabel:
     """The simple x with tau(x) = y: the socle of the restriction of y."""
-    res = restrict_simple(level, y)
-    if isinstance(res, wc.Simple):
-        return res.label
-    return wc.dminus(level, res.r, res.s, res.flow)
+    return restrict_simple(level, y).layers[-1][0]
 
 
 def groth_F(level: AdmissibleLevel, x: wc.GrothC) -> lc.GrothA:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import attrgetter
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 from .arithmetic import AdmissibleLevel, check_rs, lam_rs
 from . import weight_cat as wc
@@ -29,7 +29,7 @@ class NoSolution(RuntimeError):
     """No effective class induces to the product (implementation bug signal)."""
 
 
-def fuse_D11plus_Dminus(level: AdmissibleLevel, r: int, s: int) -> wc.CObject:
+def fuse_D11plus_Dminus(level: AdmissibleLevel, r: int, s: int) -> Union[wc.CObject, wc.DirectSum]:
     """D+(1,1) fused with D-(r,s), canonicalized.
 
     s = 1:         L(r,0) [ (+) E(-lambda_{r,0}; r,2) when v >= 3 ]
@@ -37,32 +37,32 @@ def fuse_D11plus_Dminus(level: AdmissibleLevel, r: int, s: int) -> wc.CObject:
     s = v-1:       D-(r,v-2)
     """
     check_rs(level, r, s)
-    parts: List[wc.CObject] = [wc.Simple(wc.dminus(level, r, s - 1))]
+    parts: List[wc.CObject] = [wc.simple(wc.dminus(level, r, s - 1))]
     if s <= level.v - 2:
         parts.append(
-            wc.Simple(wc.typical(level, r, s + 1, -lam_rs(level, r, s - 1)))
+            wc.simple(wc.typical(level, r, s + 1, -lam_rs(level, r, s - 1)))
         )
     return wc.direct_sum(parts)
 
 
-def fuse_sigmaD11_selfsquare(level: AdmissibleLevel) -> wc.CObject:
+def fuse_sigmaD11_selfsquare(level: AdmissibleLevel) -> Union[wc.CObject, wc.DirectSum]:
     """sigma(D+(1,1)) fused with itself.
 
     v = 2:  sigma^4(L(1,0));   v >= 3:  sigma^2(D+(1,2)) (+) sigma^3(E(lambda_{1,3}; 1,1)).
     """
     if level.v == 2:
-        return wc.Simple(wc.lr0(level, 1, flow=4))
+        return wc.simple(wc.lr0(level, 1, flow=4))
     return wc.direct_sum(
         [
-            wc.Simple(wc.atypical(level, 1, 2, flow=2)),
-            wc.Simple(wc.typical(level, 1, 1, lam_rs(level, 1, 3), flow=3)),
+            wc.simple(wc.atypical(level, 1, 2, flow=2)),
+            wc.simple(wc.typical(level, 1, 1, lam_rs(level, 1, 3), flow=3)),
         ]
     )
 
 
 def catalogued_fusion(
     level: AdmissibleLevel, x: wc.SimpleCLabel, y: wc.SimpleCLabel
-) -> Optional[wc.CObject]:
+) -> Optional[Union[wc.CObject, wc.DirectSum]]:
     """Object-level product when a pair matches the catalogued theorem.
 
     Any atypical is a flowed lowest-weight module, so whenever one factor is
@@ -92,18 +92,18 @@ def a_tensor_restriction(level: AdmissibleLevel, y: lc.SimpleALabel) -> wc.Groth
     (l+2, lam-t) and (l+1, lam-t/2) at Kac labels (r, s-+1), components with
     s-part 0 or v dropped.
     """
-    total = wc.GrothC()
-    wc.comp_factors(level, restrict_simple(level, y))._add_to(total.coeffs)
     pieces = [(y.r, y.s, y.flow + 2, y.lam - level.t)]
     pieces += [
         (y.r, s2, y.flow + 1, y.lam - level.half_t)
         for s2 in (y.s - 1, y.s + 1)
         if 1 <= s2 <= level.v - 1
     ]
-    for r2, s2, f2, lam2 in pieces:
-        z = lc.simple_a(level, r2, s2, f2, lam2)
-        wc.comp_factors(level, restrict_simple(level, z))._add_to(total.coeffs)
-    return total
+    # the factors of each restriction are the labels of its Loewy layers
+    labels: List[wc.SimpleCLabel] = []
+    for z in [y] + [lc.simple_a(level, *piece) for piece in pieces]:
+        for layer in restrict_simple(level, z).layers:
+            labels += layer
+    return wc.GrothC.of(*labels)
 
 
 @lru_cache(maxsize=16)

@@ -264,8 +264,8 @@ def _typical_samples(
     for lam in LAMBDA_SAMPLES:
         y = lc.simple_a(level, r, s, flow, lam)
         res = fn.restrict_simple(level, y)
-        if isinstance(res, wc.Simple):
-            yield y, res.label
+        if res.tag == "simple":
+            yield y, res.layers[0][0]
 
 
 def _mult_check(level: AdmissibleLevel, y: lc.SimpleALabel, x: wc.SimpleCLabel, expected: int) -> MultCheck:

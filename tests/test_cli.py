@@ -328,3 +328,59 @@ def test_cli_fuzz_exits_cleanly(argv):
     assert "Traceback" not in out.getvalue() + err.getvalue()
     if code == 2:
         assert "error:" in err.getvalue()
+
+
+def _printing_commands(level: str) -> dict:
+    """Per command, the argument lists whose output the pins below cover: R,
+    M and simple objects from induce, E-, typical and E- sums from restrict,
+    catalogued and solver-only products from fuse, and dual on a simple, R,
+    M and a sum of the three."""
+    u, v = (int(n) for n in level.split("/"))
+    simple = {"cat": "A", "r": 1, "s": 1, "flow": 1, "lam": {"a": [1, 3], "b": [0, 1]}}
+    r_obj = {"cat": "A", "tag": "R", "r": 1, "s": 1, "flow": 0, "lam": {"a": [0, 1], "b": [1, 1]}}
+    m_obj = {"cat": "A", "tag": "M", "r": 1, "s": min(2, v), "flow": 1}
+    a_sum = {"cat": "A", "tag": "sum", "parts": [r_obj, m_obj, simple]}
+    return {
+        "induce": [
+            ["--label", x]
+            for x in ("E(w;1,1)@0", "E(1/7;1,1)@1", "D+(1,1)@0", f"D+({u - 1},{v - 1})@-1", "D-(1,1)@2")
+        ],
+        "restrict": [
+            ["--label", y]
+            for y in ("M(1,1)xPi(0;0)", "M(1,1)xPi(0;w)", "M(1,1)xPi(1;1/2)", f"M({u - 1},1)xPi(-1;1/3)")
+        ],
+        "fuse": [
+            ["--lhs", x, "--rhs", y]
+            for x, y in (("D+(1,1)@0", "D-(1,1)@0"), ("D+(1,1)@1", "D+(1,1)@1"), ("E(w;1,1)@0", "D+(1,1)@-1"))
+        ],
+        "dual": [["--label", json.dumps(obj)] for obj in (simple, r_obj, m_obj, a_sum)],
+    }
+
+
+# sha256 over the exit code and the whole stdout of each command of
+# _printing_commands, text then --json
+PRINTING_SHA256 = {
+    ("3/2", "induce"): "647d99d0eaaef442387492114bba7d8e0f430d82f79d8ee849ac73209292eb03",
+    ("3/2", "restrict"): "3acff38cd4928a2d953f2b47cf95f2d2052f9fe7a47542434c8f779220fda401",
+    ("3/2", "fuse"): "9ea3e4c966afd391f9623b227eac2e02ad88a7b8d077237e336325d8302937d5",
+    ("3/2", "dual"): "b53f2506aeab12ad57a216ede98dd69c1da59ea0a9e49a5ca9196ec8dc8834b6",
+    ("5/3", "induce"): "d8ea5229b3d7ce26d67a19c5534b4eac3ecaeb389b56b4b2059b667db5cb94a0",
+    ("5/3", "restrict"): "7b5c37395fc44885629cd4e7a1febd93329b191baeedc35f70c0d5a56cc16cb8",
+    ("5/3", "fuse"): "e9b91931da85a9a7c3357ebcaecfe407b32a44bc40cbdef84cd413c485a18933",
+    ("5/3", "dual"): "7ee68fea8962d698b3485f5640f048626b39f379ce7f223ffbbdbf7587ad92f8",
+    ("13/8", "induce"): "98032ba2275a696069eea46cfb9b4f23bf82c8ee5df2a73e4bb23086c034319a",
+    ("13/8", "restrict"): "f728e506b80150ae64b0ff6963077bd9239c2a27bb0d43a3279ad7d6cf162735",
+    ("13/8", "fuse"): "f8eeaa5e6f31196111cd3caa6a5290d5c06bf1e72a49c23f88c18475e3796d80",
+    ("13/8", "dual"): "a36d965d94e1e803e2bd58916020a68c0967b3d6a010f19aa9f8042c7db3a0b0",
+}
+
+
+@pytest.mark.parametrize("level, command", sorted(PRINTING_SHA256))
+def test_object_printing_bytes_are_pinned(capsys, level, command):
+    digest = hashlib.sha256()
+    for args in _printing_commands(level)[command]:
+        for mode in ([], ["--json"]):
+            code, out, _ = run(capsys, command, "--level", level, *args, *mode)
+            assert code == 0
+            digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == PRINTING_SHA256[level, command]

@@ -20,15 +20,15 @@ def frobenius_dim(level, x, y):
 def test_restriction_table():
     lv = admissible_level(5, 3)
     # the unit A-label restricts to the vacuum extension sigma(E-_{u-1,v-1})
-    assert fn.restrict_simple(lv, lc.unit_a(lv)) == wc.Eminus(4, 2, 1)
+    assert fn.restrict_simple(lv, lc.unit_a(lv)) == wc.eminus(lv, 4, 2, 1)
     # second atypical branch: lam = nu_{u-r,v-s}
     y = lc.simple_a(lv, 1, 2, -1, nu_rs(lv, 4, 1))
-    assert fn.restrict_simple(lv, y) == wc.Eminus(1, 2, 0)
+    assert fn.restrict_simple(lv, y) == wc.eminus(lv, 1, 2, 0)
     # omega part forces typicality
     y = lc.simple_a(lv, 2, 1, 0, wt(F(1, 4), F(1)))
     res = fn.restrict_simple(lv, y)
-    assert isinstance(res, wc.Simple)
-    assert res.label == wc.typical(lv, 2, 1, 2 * wt(F(1, 4), F(1)) - lv.k, 1)
+    assert res.tag == "simple"
+    assert res.layers[0][0] == wc.typical(lv, 2, 1, 2 * wt(F(1, 4), F(1)) - lv.k, 1)
 
 
 def test_restriction_covers_both_mirrors(level):
@@ -38,8 +38,28 @@ def test_restriction_covers_both_mirrors(level):
         for s in range(1, level.v):
             for probe in (nu_rs(level, r, s), nu_rs(level, level.u - r, level.v - s)):
                 y = lc.simple_a(level, r, s, 0, probe)
-                assert isinstance(fn.restrict_simple(level, y), wc.Eminus)
+                assert fn.restrict_simple(level, y).tag == "E-"
 
+
+
+@pytest.mark.parametrize("uv", [(3, 2), (5, 3), (7, 4), (13, 8)], ids=lambda uv: f"{uv[0]}-{uv[1]}")
+def test_restriction_builds_what_typical_builds(uv):
+    # restrict_simple builds its typical labels with wc._typical, which skips
+    # typical's coset tests: off the cosets nu_{r,s} and nu_{u-r,v-s} mod Z,
+    # 2*lam-k is off +-lambda_{r,s} mod 2Z.  At every lam of denominator 2uv
+    # typical accepts the label and builds the same one.
+    level = admissible_level(*uv)
+    d = 2 * level.u * level.v
+    typicals = 0
+    for r in range(1, level.u):
+        for s in range(1, level.v):
+            for p in range(d):
+                y = lc.simple_a(level, r, s, 0, wt(F(p, d)))
+                res = fn.restrict_simple.__wrapped__(level, y)
+                if res.tag == "simple":
+                    typicals += 1
+                    assert res.layers == ((wc.typical(level, y.r, y.s, 2 * y.lam - level.k, 1),),)
+    assert typicals > 0
 
 def test_tau_and_tau_tilde():
     lv = admissible_level(5, 3)
@@ -61,11 +81,11 @@ def test_tau_sections(level):
         res_tau = fn.restrict_simple(level, fn.tau(level, x))
         res_tilde = fn.restrict_simple(level, fn.tau_tilde(level, x))
         if x.is_typical:
-            assert res_tau == wc.Simple(x) == res_tilde
+            assert res_tau == wc.simple(x) == res_tilde
         else:
-            assert isinstance(res_tau, wc.Eminus)
+            assert res_tau.tag == "E-"
             assert wc.dminus(level, res_tau.r, res_tau.s, res_tau.flow) == x
-            assert isinstance(res_tilde, wc.Eminus)
+            assert res_tilde.tag == "E-"
             top = wc.atypical(
                 level, level.u - res_tilde.r, level.v - res_tilde.s, res_tilde.flow
             )
@@ -129,12 +149,12 @@ def test_induction_is_unitriangular(uv):
 def test_induce_atypical():
     lv = admissible_level(5, 3)
     m = fn.induce_simple(lv, wc.atypical(lv, 1, 1, 0))
-    assert isinstance(m, lc.MObject)
+    assert m.tag == "M"
     assert m.layers[0] == (lc.simple_a(lv, 1, 2, 0, nu_rs(lv, 1, 2)),)
     assert m.layers[1] == (lc.simple_a(lv, 1, 1, 1, nu_rs(lv, 1, 3)),)
     # s = v-1 induces to a simple
     simple = fn.induce_simple(lv, wc.atypical(lv, 1, 2, 0))
-    assert simple == lc.ASimple(lc.simple_a(lv, 4, 1, 1, nu_rs(lv, 4, 1)))
+    assert simple == lc.a_simple(lc.simple_a(lv, 4, 1, 1, nu_rs(lv, 4, 1)))
 
 
 def test_induce_atypical_v2():
@@ -142,7 +162,7 @@ def test_induce_atypical_v2():
     for r in (1, 2):
         for flow in (-1, 0, 2):
             got = fn.induce_simple(lv, wc.atypical(lv, r, 1, flow))
-            expect = lc.ASimple(
+            expect = lc.a_simple(
                 lc.simple_a(lv, r, 1, flow + 1, nu_rs(lv, lv.u - r, 1))
             )
             assert got == expect
@@ -159,8 +179,8 @@ def test_induce_typical():
 def test_induce_vacuum():
     lv = admissible_level(3, 2)
     n = fn.induce_vacuum(lv)
-    assert n.parts[0] == lc.ASimple(lc.unit_a(lv))
-    assert n.parts[1] == lc.ASimple(lc.simple_a(lv, 1, 1, 2, lv.t))
+    assert n.parts[0] == lc.a_simple(lc.unit_a(lv))
+    assert n.parts[1] == lc.a_simple(lc.simple_a(lv, 1, 1, 2, lv.t))
     assert sum(n for _, n in lc.comp_factors_a(lv, n).items()) == 2
 
     lv = admissible_level(2, 3)

@@ -33,29 +33,29 @@ def test_fuse_D11plus_Dminus_table(uv):
             got = fu.fuse_D11plus_Dminus(level, r, s)
             assert wc.comp_factors(level, got) == expected_D11_Dminus(level, r, s)
             if level.v == 2:
-                assert got == wc.Simple(wc.lr0(level, r, 0))
+                assert got == wc.simple(wc.lr0(level, r, 0))
 
 
 def test_fuse_D11plus_Dminus_examples():
     lv = admissible_level(5, 3)
     got = fu.fuse_D11plus_Dminus(lv, 1, 1)
     assert got == wc.DirectSum(
-        (wc.Simple(wc.lr0(lv, 1, 0)), wc.Simple(wc.typical(lv, 1, 2, wt(0), 0)))
+        (wc.simple(wc.lr0(lv, 1, 0)), wc.simple(wc.typical(lv, 1, 2, wt(0), 0)))
     )
-    assert fu.fuse_D11plus_Dminus(lv, 2, 2) == wc.Simple(wc.dminus(lv, 2, 1, 0))
+    assert fu.fuse_D11plus_Dminus(lv, 2, 2) == wc.simple(wc.dminus(lv, 2, 1, 0))
 
 
 def test_fuse_selfsquare():
     lv = admissible_level(3, 2)
     got = fu.fuse_sigmaD11_selfsquare(lv)
-    assert got == wc.Simple(wc.lr0(lv, 1, 4))
-    assert got == wc.Simple(wc.SimpleCLabel(3, 2, 1, None))  # sigma^3(D+_{2,1})
+    assert got == wc.simple(wc.lr0(lv, 1, 4))
+    assert got == wc.simple(wc.SimpleCLabel(3, 2, 1, None))  # sigma^3(D+_{2,1})
     lv = admissible_level(2, 3)
     got = fu.fuse_sigmaD11_selfsquare(lv)
     assert got == wc.DirectSum(
         (
-            wc.Simple(wc.atypical(lv, 1, 2, 2)),
-            wc.Simple(wc.typical(lv, 1, 1, lam_rs(lv, 1, 3), 3)),
+            wc.simple(wc.atypical(lv, 1, 2, 2)),
+            wc.simple(wc.typical(lv, 1, 1, lam_rs(lv, 1, 3), 3)),
         )
     )
 

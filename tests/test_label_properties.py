@@ -51,7 +51,7 @@ def a_objects(draw, level, depth=1):
     kind = draw(st.sampled_from(["simple", "R", "M"] + (["sum"] if depth else [])))
     r, flow = draw(st.integers(1, level.u - 1)), draw(flows)
     if kind == "simple":
-        return lc.ASimple(draw(a_labels(level)))
+        return lc.a_simple(draw(a_labels(level)))
     if kind == "R":
         return lc.build_R(level, r, draw(st.integers(1, level.v - 1)), draw(lams), flow)
     if kind == "M":

@@ -135,7 +135,7 @@ def test_rigid_dual_involution(level):
     for _ in range(100):
         kind = r.random()
         if kind < 0.4:
-            objs.append(lc.ASimple(random_alabel(level, r)))
+            objs.append(lc.a_simple(random_alabel(level, r)))
         elif kind < 0.7:
             objs.append(
                 lc.build_R(
@@ -268,16 +268,16 @@ def test_build_r_v2_layers():
 def test_build_m_shapes():
     lv = admissible_level(5, 3)
     m = lc.build_M(lv, 1, 2, 0)
-    assert isinstance(m, lc.MObject)
+    assert m.tag == "M"
     assert m.layers == (
         (lc.simple_a(lv, 1, 2, 0, nu_rs(lv, 1, 2)),),
         (lc.simple_a(lv, 1, 1, 1, nu_rs(lv, 1, 3)),),
     )
     simple_low = lc.build_M(lv, 2, 1, 4)
-    assert simple_low == lc.ASimple(lc.simple_a(lv, 2, 1, 4, nu_rs(lv, 2, 1)))
+    assert simple_low == lc.a_simple(lc.simple_a(lv, 2, 1, 4, nu_rs(lv, 2, 1)))
     simple_top = lc.build_M(lv, 2, 3, 4)
-    assert simple_top == lc.ASimple(lc.simple_a(lv, 3, 1, 5, nu_rs(lv, 3, 1)))
-    assert simple_top == lc.ASimple(lc.simple_a(lv, 2, 2, 5, nu_rs(lv, 2, 4)))
+    assert simple_top == lc.a_simple(lc.simple_a(lv, 3, 1, 5, nu_rs(lv, 3, 1)))
+    assert simple_top == lc.a_simple(lc.simple_a(lv, 2, 2, 5, nu_rs(lv, 2, 4)))
 
 
 def test_loewy_lines_render():
@@ -290,10 +290,10 @@ def test_loewy_lines_render():
 def test_aobject_json_round_trip():
     lv = admissible_level(5, 3)
     objects = [
-        lc.ASimple(lc.simple_a(lv, 1, 2, -1, wt(F(5, 6)))),
+        lc.a_simple(lc.simple_a(lv, 1, 2, -1, wt(F(5, 6)))),
         lc.build_R(lv, 1, 1, OMEGA, 2),
         lc.build_M(lv, 2, 2, -3),
-        lc.ADirectSum((lc.ASimple(lc.unit_a(lv)), lc.build_M(lv, 1, 2, 1))),
+        lc.ADirectSum((lc.a_simple(lc.unit_a(lv)), lc.build_M(lv, 1, 2, 1))),
     ]
     for obj in objects:
         blob = json.dumps(lc.aobject_to_json(obj), sort_keys=True)

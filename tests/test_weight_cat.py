@@ -12,7 +12,7 @@ from conftest import random_weight, rng
 
 def vacuum_extension(level):
     """The free-field algebra restricted to the weight category: sigma(E-_{u-1,v-1})."""
-    return wc.Eminus(level.u - 1, level.v - 1, 1)
+    return wc.eminus(level, level.u - 1, level.v - 1, 1)
 
 
 def random_label(level, r, typicals=True):
@@ -93,7 +93,7 @@ def test_spectral_flow_group_action():
 def test_flow_of_vacuum_extension():
     for u, v in ((5, 3), (3, 2)):
         lv = admissible_level(u, v)
-        assert wc.spectral_flow(wc.Eminus(u - 1, v - 1, 0), 1) == vacuum_extension(lv)
+        assert wc.spectral_flow(wc.eminus(lv, u - 1, v - 1, 0), 1) == vacuum_extension(lv)
 
 
 def test_contragredient_formulas():
@@ -120,16 +120,16 @@ def test_contragredient_involution_and_flow(level):
 
 def test_comp_factors_eplus_eminus():
     lv = admissible_level(5, 3)
-    got = wc.comp_factors(lv, wc.Eplus(1, 1, 0))
+    got = wc.comp_factors(lv, wc.eplus(lv, 1, 1, 0))
     assert got == wc.GrothC.of(wc.atypical(lv, 1, 1, 0), wc.dminus(lv, 4, 2, 0))
     # E+_{u-r,v-s} and E-_{r,s} share their two composition factors
     # (the lambda symmetry swaps only the extension direction)
     for r in range(1, 5):
         for s in range(1, 3):
-            plus = wc.comp_factors(lv, wc.Eplus(lv.u - r, lv.v - s, 0))
-            minus = wc.comp_factors(lv, wc.Eminus(r, s, 0))
+            plus = wc.comp_factors(lv, wc.eplus(lv, lv.u - r, lv.v - s, 0))
+            minus = wc.comp_factors(lv, wc.eminus(lv, r, s, 0))
             assert plus == minus
-            assert wc.Eplus(lv.u - r, lv.v - s, 0) != wc.Eminus(r, s, 0)
+            assert wc.eplus(lv, lv.u - r, lv.v - s, 0) != wc.eminus(lv, r, s, 0)
 
 
 def test_comp_factors_vacuum_extension():
@@ -144,13 +144,13 @@ def test_comp_factors_vacuum_extension():
 
 def test_comp_factors_projective():
     lv = admissible_level(5, 3)
-    got = wc.comp_factors(lv, wc.Projective(1, 1, 0))
-    expected = wc.comp_factors(lv, wc.Eminus(4, 1, 1)) + wc.comp_factors(lv, wc.Eminus(4, 2, 0))
+    got = wc.comp_factors(lv, wc.projective(lv, 1, 1, 0))
+    expected = wc.comp_factors(lv, wc.eminus(lv, 4, 1, 1)) + wc.comp_factors(lv, wc.eminus(lv, 4, 2, 0))
     assert got == expected
     assert sum(n for _, n in got.items()) == 4
     # s = v-1 branch
-    got = wc.comp_factors(lv, wc.Projective(1, 2, 0))
-    expected = wc.comp_factors(lv, wc.Eminus(1, 2, 2)) + wc.comp_factors(lv, wc.Eminus(4, 1, 0))
+    got = wc.comp_factors(lv, wc.projective(lv, 1, 2, 0))
+    expected = wc.comp_factors(lv, wc.eminus(lv, 1, 2, 2)) + wc.comp_factors(lv, wc.eminus(lv, 4, 1, 0))
     assert got == expected
 
 
