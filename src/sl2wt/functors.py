@@ -39,9 +39,7 @@ def restrict_simple(level: AdmissibleLevel, y: lc.SimpleALabel) -> wc.CObject:
         return wc.eminus(level, level.u - y.r, level.v - y.s, flow)
     if y.lam.on_coset(nu_rs(level, level.u - y.r, level.v - y.s), 1):
         return wc.eminus(level, y.r, y.s, flow)
-    # off both cosets nu mod Z, 2*lam-k is off +-lambda_{r,s} mod 2Z, since
-    # (k + lambda_{r,s})/2 = nu_{r,s} - 1 and (k - lambda_{r,s})/2 = nu_{u-r,v-s}
-    return wc.simple(wc._typical(level, y.r, y.s, (2 * y.lam - level.k).reduce(2), flow))
+    return wc.simple(wc.typical(level, y.r, y.s, 2 * y.lam - level.k, flow))
 
 
 def tau(level: AdmissibleLevel, x: wc.SimpleCLabel) -> lc.SimpleALabel:

@@ -98,12 +98,8 @@ def a_tensor_restriction(level: AdmissibleLevel, y: lc.SimpleALabel) -> wc.Groth
         for s2 in (y.s - 1, y.s + 1)
         if 1 <= s2 <= level.v - 1
     ]
-    # the factors of each restriction are the labels of its Loewy layers
-    labels: List[wc.SimpleCLabel] = []
-    for z in [y] + [lc.simple_a(level, *piece) for piece in pieces]:
-        for layer in restrict_simple(level, z).layers:
-            labels += layer
-    return wc.GrothC.of(*labels)
+    restrictions = [restrict_simple(level, z) for z in [y] + [lc.simple_a(level, *p) for p in pieces]]
+    return wc.comp_factors(level, wc.DirectSum(tuple(restrictions)))
 
 
 @lru_cache(maxsize=16)

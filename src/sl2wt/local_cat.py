@@ -150,6 +150,10 @@ def is_local_flow(flow) -> bool:
 # Catalogued indecomposables
 
 
+# the kinds of catalogued object
+A_TAGS = frozenset({"simple", "R", "M"})
+
+
 # slotted: restriction and induction build one on every memo miss, and a
 # slotted instance is built about a third faster
 @dataclass(frozen=True, slots=True)
@@ -164,6 +168,10 @@ class AObject:
     flow: int
     lam: Optional[Weight]
     layers: Tuple[Tuple[SimpleALabel, ...], ...]
+
+    def __post_init__(self):
+        if self.tag not in A_TAGS:
+            raise ValueError(f"unknown A-object tag {self.tag!r}")
 
     def __str__(self) -> str:
         if self.tag == "R":

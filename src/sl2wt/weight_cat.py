@@ -89,12 +89,6 @@ def typical(level: AdmissibleLevel, r: int, s: int, lam, flow: int = 0) -> Simpl
     for sign, factor in (("+", 1), ("-", -1)):
         if w.on_coset(lam_r, 2, factor):
             raise NotSimple(f"E({w};{r},{s}) is reducible: lam = {sign}lambda_{{r,s}} mod 2Z")
-    return _typical(level, r, s, w, flow)
-
-
-def _typical(level: AdmissibleLevel, r: int, s: int, w: Weight, flow: int) -> SimpleCLabel:
-    """typical for a Kac label (r, s) and a lam w in [0, 2) already known to
-    lie off the cosets +-lambda_{r,s} mod 2Z: only the Kac label is folded."""
     r, s = min((r, s), (level.u - r, level.v - s))
     return SimpleCLabel(flow, r, s, w)
 
@@ -154,6 +148,10 @@ def contragredient_obj(level: AdmissibleLevel, x: "CObject") -> "CObject":
 # Catalogued objects
 
 
+# the kinds of catalogued object
+C_TAGS = frozenset({"simple", "E-", "E+", "P"})
+
+
 # slotted: restriction and induction build one on every memo miss, and a
 # slotted instance is built about a third faster
 @dataclass(frozen=True, slots=True)
@@ -167,6 +165,10 @@ class CObject:
     s: int
     flow: int
     layers: Tuple[Tuple[SimpleCLabel, ...], ...]
+
+    def __post_init__(self):
+        if self.tag not in C_TAGS:
+            raise ValueError(f"unknown C-object tag {self.tag!r}")
 
     def __str__(self) -> str:
         if self.tag == "simple":
@@ -289,9 +291,5 @@ def groth_contragredient(level: AdmissibleLevel, x: GrothC) -> GrothC:
 
 def comp_factors(level: AdmissibleLevel, x: Union[CObject, DirectSum]) -> GrothC:
     """Composition-factor class of a catalogued object, all labels canonical."""
-    if isinstance(x, DirectSum):
-        total = GrothC()
-        for p in x.parts:
-            comp_factors(level, p)._add_to(total.coeffs)
-        return total
-    return GrothC.of(*chain.from_iterable(x.layers))
+    parts = x.parts if isinstance(x, DirectSum) else (x,)
+    return GrothC.of(*chain.from_iterable(layer for p in parts for layer in p.layers))

@@ -116,3 +116,15 @@ def test_projective_is_a_diamond(layer_level):
                 top_socle = (wc.atypical(level, r, s, flow),)
                 assert p.layers[0] == top_socle == p.layers[-1]
                 assert len(p.layers) == 3 and len(p.layers[1]) == 2
+
+
+def test_unknown_tags_are_refused():
+    # every dispatch on a tag reads one of the catalogued kinds
+    x = wc.simple(wc.atypical(admissible_level(5, 3), 1, 1))
+    with pytest.raises(ValueError, match="unknown C-object tag"):
+        wc.CObject("E", x.r, x.s, x.flow, x.layers)
+    y = lc.a_simple(lc.simple_a(admissible_level(5, 3), 1, 1, 0, OMEGA))
+    with pytest.raises(ValueError, match="unknown A-object tag"):
+        lc.AObject("m", y.r, y.s, y.flow, y.lam, y.layers)
+    assert wc.C_TAGS == {"simple", "E-", "E+", "P"}
+    assert lc.A_TAGS == {"simple", "R", "M"}
