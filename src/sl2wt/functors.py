@@ -95,8 +95,17 @@ def groth_F(level: AdmissibleLevel, x: wc.GrothC) -> lc.GrothA:
 
 
 def groth_restrict(level: AdmissibleLevel, p: lc.GrothA) -> wc.GrothC:
-    """Restriction on Grothendieck groups."""
-    total = wc.GrothC()
+    """Restriction on Grothendieck groups: n times each layer label of the
+    restriction of each basis label n*lbl, counted into one dict whose entries
+    are deleted on reaching 0, so sums that cancel stay exact."""
+    out = {}
+    get = out.get
     for lbl, n in p.items():
-        wc.comp_factors(level, restrict_simple(level, lbl))._add_to(total.coeffs, n)
-    return total
+        for layer in restrict_simple(level, lbl).layers:
+            for x in layer:
+                m = get(x, 0) + n
+                if m:
+                    out[x] = m
+                else:
+                    del out[x]
+    return wc.GrothC._own(out)

@@ -22,6 +22,7 @@ from typing import List, Optional, Tuple, Union
 from .arithmetic import (
     AdmissibleLevel,
     Groth,
+    HashedOnce,
     Weight,
     as_weight,
     check_rs,
@@ -29,11 +30,13 @@ from .arithmetic import (
     json_field,
     nu_rs,
     pi_conf_weight,
+    set_hash,
+    slot_setters,
 )
 
 
-@dataclass(frozen=True)
-class SimpleALabel:
+@dataclass(slots=True, init=False)
+class SimpleALabel(HashedOnce):
     """Canonical label M(r,s) x Pi_flow(lam), lam mod Z, (r,s) ~ (u-r,v-s)."""
 
     r: int
@@ -41,13 +44,14 @@ class SimpleALabel:
     flow: int
     lam: Weight
 
-    # hashed once at construction and rebuilt by pickling and copying, as
-    # SimpleCLabel is
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.r, self.s, self.flow, self.lam)))
+    def __init__(self, r: int, s: int, flow: int, lam: Weight):
+        _set_r(self, r)
+        _set_s(self, s)
+        _set_flow(self, flow)
+        _set_lam(self, lam)
+        set_hash(self, hash((r, s, flow, lam)))
 
-    def __hash__(self) -> int:
-        return self._hash
+    __hash__ = HashedOnce.__hash__
 
     def __reduce__(self):
         return (SimpleALabel, (self.r, self.s, self.flow, self.lam))
@@ -57,6 +61,9 @@ class SimpleALabel:
 
     def __str__(self) -> str:
         return f"M({self.r},{self.s})xPi({self.flow};{self.lam})"
+
+
+_set_r, _set_s, _set_flow, _set_lam = slot_setters(SimpleALabel)
 
 
 def simple_a(level: AdmissibleLevel, r: int, s: int, flow: int, lam) -> SimpleALabel:
@@ -154,9 +161,7 @@ def is_local_flow(flow) -> bool:
 A_TAGS = frozenset({"simple", "R", "M"})
 
 
-# slotted: restriction and induction build one on every memo miss, and a
-# slotted instance is built about a third faster
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class AObject:
     """A catalogued indecomposable with its Loewy layers, top first: a simple
     (tag "simple", the other fields those of its label), R(r,s;lam)@flow
@@ -169,9 +174,18 @@ class AObject:
     lam: Optional[Weight]
     layers: Tuple[Tuple[SimpleALabel, ...], ...]
 
-    def __post_init__(self):
-        if self.tag not in A_TAGS:
-            raise ValueError(f"unknown A-object tag {self.tag!r}")
+    def __init__(
+        self, tag: str, r: int, s: int, flow: int, lam: Optional[Weight],
+        layers: Tuple[Tuple[SimpleALabel, ...], ...],
+    ):
+        if tag not in A_TAGS:
+            raise ValueError(f"unknown A-object tag {tag!r}")
+        _set_obj_tag(self, tag)
+        _set_obj_r(self, r)
+        _set_obj_s(self, s)
+        _set_obj_flow(self, flow)
+        _set_obj_lam(self, lam)
+        _set_obj_layers(self, layers)
 
     def __str__(self) -> str:
         if self.tag == "R":
@@ -179,6 +193,9 @@ class AObject:
         if self.tag == "M":
             return f"M[{self.r},{self.s}]@{self.flow}"
         return str(self.layers[0][0])
+
+
+_set_obj_tag, _set_obj_r, _set_obj_s, _set_obj_flow, _set_obj_lam, _set_obj_layers = slot_setters(AObject)
 
 
 @dataclass(frozen=True)

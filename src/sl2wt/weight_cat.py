@@ -22,11 +22,14 @@ from typing import Iterable, Optional, Tuple, Union
 from .arithmetic import (
     AdmissibleLevel,
     Groth,
+    HashedOnce,
     Weight,
     as_weight,
     check_rs,
     json_field,
     lam_rs,
+    set_hash,
+    slot_setters,
 )
 
 
@@ -34,8 +37,8 @@ class NotSimple(ValueError):
     """A typical label whose lam collides with +-lambda_{r,s} mod 2Z."""
 
 
-@dataclass(frozen=True)
-class SimpleCLabel:
+@dataclass(slots=True, init=False)
+class SimpleCLabel(HashedOnce):
     """Canonical simple label sigma^flow(D+_{r,s}) or sigma^flow(E_{lam,Delta_{r,s}})."""
 
     flow: int
@@ -43,16 +46,15 @@ class SimpleCLabel:
     s: int
     lam: Optional[Weight] = None  # None <=> atypical
 
-    # labels key every Grothendieck class, so each is hashed many times:
-    # hash the field tuple once, at construction
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.flow, self.r, self.s, self.lam)))
+    def __init__(self, flow: int, r: int, s: int, lam: Optional[Weight] = None):
+        _set_flow(self, flow)
+        _set_r(self, r)
+        _set_s(self, s)
+        _set_lam(self, lam)
+        set_hash(self, hash((flow, r, s, lam)))
 
-    def __hash__(self) -> int:
-        return self._hash
+    __hash__ = HashedOnce.__hash__
 
-    # pickling and copying rebuild the hash rather than carry it over:
-    # hash(None) differs between processes
     def __reduce__(self):
         return (SimpleCLabel, (self.flow, self.r, self.s, self.lam))
 
@@ -68,6 +70,9 @@ class SimpleCLabel:
         if self.lam is None:
             return f"D+({self.r},{self.s})@{self.flow}"
         return f"E({self.lam};{self.r},{self.s})@{self.flow}"
+
+
+_set_flow, _set_r, _set_s, _set_lam = slot_setters(SimpleCLabel)
 
 
 def atypical(level: AdmissibleLevel, r: int, s: int, flow: int = 0) -> SimpleCLabel:
@@ -116,6 +121,11 @@ def dminus(level: AdmissibleLevel, r: int, s: int, flow: int = 0) -> SimpleCLabe
     check_rs(level, r, s, 0)
     if s == 0:
         return lr0(level, r, flow)
+    return _dminus(level, r, s, flow)
+
+
+def _dminus(level: AdmissibleLevel, r: int, s: int, flow: int) -> SimpleCLabel:
+    """dminus for a Kac label (r, s) already checked, 1 <= s <= v-1."""
     if s <= level.v - 2:
         return SimpleCLabel(flow - 1, level.u - r, level.v - s - 1, None)
     return SimpleCLabel(flow - 2, r, level.v - 1, None)
@@ -152,9 +162,7 @@ def contragredient_obj(level: AdmissibleLevel, x: "CObject") -> "CObject":
 C_TAGS = frozenset({"simple", "E-", "E+", "P"})
 
 
-# slotted: restriction and induction build one on every memo miss, and a
-# slotted instance is built about a third faster
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CObject:
     """A catalogued indecomposable with its Loewy layers, top first: a simple
     (tag "simple", r, s and flow those of its label), sigma^flow(E-_{r,s}),
@@ -166,9 +174,14 @@ class CObject:
     flow: int
     layers: Tuple[Tuple[SimpleCLabel, ...], ...]
 
-    def __post_init__(self):
-        if self.tag not in C_TAGS:
-            raise ValueError(f"unknown C-object tag {self.tag!r}")
+    def __init__(self, tag: str, r: int, s: int, flow: int, layers: Tuple[Tuple[SimpleCLabel, ...], ...]):
+        if tag not in C_TAGS:
+            raise ValueError(f"unknown C-object tag {tag!r}")
+        _set_obj_tag(self, tag)
+        _set_obj_r(self, r)
+        _set_obj_s(self, s)
+        _set_obj_flow(self, flow)
+        _set_obj_layers(self, layers)
 
     def __str__(self) -> str:
         if self.tag == "simple":
@@ -176,15 +189,20 @@ class CObject:
         return f"{self.tag}({self.r},{self.s})@{self.flow}"
 
 
+_set_obj_tag, _set_obj_r, _set_obj_s, _set_obj_flow, _set_obj_layers = slot_setters(CObject)
+
+
 def simple(x: SimpleCLabel) -> CObject:
     return CObject("simple", x.r, x.s, x.flow, ((x,),))
 
 
 def eminus(level: AdmissibleLevel, r: int, s: int, flow: int = 0) -> CObject:
-    """sigma^flow(E-_{r,s}): top D+_{u-r,v-s}, socle D-_{r,s}."""
+    """sigma^flow(E-_{r,s}): top D+_{u-r,v-s}, socle D-_{r,s}.  Restriction
+    builds one on each atypical memo miss, so the Kac label is checked once:
+    (u-r, v-s) lies in the Kac table when (r, s) does."""
     check_rs(level, r, s)
-    top = atypical(level, level.u - r, level.v - s, flow)
-    return CObject("E-", r, s, flow, ((top,), (dminus(level, r, s, flow),)))
+    top = SimpleCLabel(flow, level.u - r, level.v - s, None)
+    return CObject("E-", r, s, flow, ((top,), (_dminus(level, r, s, flow),)))
 
 
 def eplus(level: AdmissibleLevel, r: int, s: int, flow: int = 0) -> CObject:

@@ -91,6 +91,24 @@ def test_tau_sections(level):
         assert frobenius_dim(level, x, fn.tau(level, x)) == 1
 
 
+def test_groth_restrict_sums_exactly(level):
+    # restriction of a signed class counts n times each layer label of each
+    # restriction, and keeps no zero: tau(x) - tau_tilde(x) cancels x
+    r = rng(43)
+    for _ in range(40):
+        x = random_label(level, r)
+        p = lc.a_class(level, fn.tau(level, x)) - lc.a_class(level, fn.tau_tilde(level, x))
+        if not x.is_typical:
+            assert x not in fn.groth_restrict(level, p).coeffs
+        for _ in range(3):
+            p = p + r.choice((-2, -1, 1, 2)) * lc.a_class(level, fn.tau(level, random_label(level, r)))
+        expect = wc.GrothC()
+        for y, n in p.items():
+            expect = expect + n * wc.comp_factors(level, fn.restrict_simple(level, y))
+        got = fn.groth_restrict(level, p)
+        assert got == expect and 0 not in got.coeffs.values()
+
+
 def test_tau_injective(level):
     r = rng(42)
     labels = {random_label(level, r) for _ in range(120)}

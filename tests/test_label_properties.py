@@ -8,6 +8,7 @@ import json
 import pickle
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from sl2wt import OMEGA, Weight, admissible_level
@@ -133,3 +134,44 @@ def test_equal_labels_hash_equal_by_every_route(data, uv):
     _hashed_once_agrees(dataclasses.replace(y, flow=flow + 1), lc.simple_a(level, r, s, flow + 1, lam))
     _hashed_once_agrees(dataclasses.replace(x, flow=flow + 1), wc.spectral_flow(x, 1))
     assert {y, x, direct} == {copy.copy(y), copy.copy(x), copy.copy(direct)}
+
+
+@st.composite
+def c_objects(draw, level):
+    kind = draw(st.sampled_from(["simple", "E-", "E+", "P"]))
+    if kind == "simple":
+        return wc.simple(draw(c_labels(level)))
+    build = {"E-": wc.eminus, "E+": wc.eplus, "P": wc.projective}[kind]
+    return build(level, draw(st.integers(1, level.u - 1)), draw(st.integers(1, level.v - 1)), draw(flows))
+
+
+# the fields each value type declares, in order; _hash is a slot, not a field
+DECLARED = {
+    wc.SimpleCLabel: ("flow", "r", "s", "lam"),
+    lc.SimpleALabel: ("r", "s", "flow", "lam"),
+    wc.CObject: ("tag", "r", "s", "flow", "layers"),
+    lc.AObject: ("tag", "r", "s", "flow", "lam", "layers"),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), uv=st.sampled_from(TEST_LEVELS))
+def test_value_types_are_slotted_frozen_dataclasses(data, uv):
+    # labels and catalogued objects are built through their slot setters:
+    # no instance dict, no assignment or deletion, the declared fields only,
+    # and the repr and == a dataclass generates
+    level = admissible_level(*uv)
+    for x in (data.draw(c_labels(level)), data.draw(a_labels(level)),
+              data.draw(c_objects(level)), data.draw(a_objects(level, 0))):
+        cls, names = type(x), DECLARED[type(x)]
+        assert not hasattr(x, "__dict__")
+        assert tuple(f.name for f in dataclasses.fields(x)) == names
+        values = tuple(getattr(x, name) for name in names)
+        for name in names + (("_hash",) if cls in (wc.SimpleCLabel, lc.SimpleALabel) else ()):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(x, name, getattr(x, name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(x, name)
+        assert repr(x) == f"{cls.__name__}(" + ", ".join(f"{n}={v!r}" for n, v in zip(names, values)) + ")"
+        assert x == cls(*values) and x.__eq__(values) is NotImplemented
+        assert x != dataclasses.replace(x, flow=x.flow + 1)

@@ -7,7 +7,7 @@ from sl2wt import OMEGA, OutOfKacTable, admissible_level, wt
 from sl2wt.arithmetic import lam_rs
 from sl2wt import weight_cat as wc
 
-from conftest import random_weight, rng
+from conftest import TEST_LEVELS, random_weight, rng
 
 
 def vacuum_extension(level):
@@ -77,6 +77,24 @@ def test_out_of_table():
     for r, s in ((0, 1), (5, 1), (1, 0), (1, 3)):
         with pytest.raises(OutOfKacTable):
             wc.atypical(lv, r, s, 0)
+
+
+@pytest.mark.parametrize("uv", TEST_LEVELS + [(13, 8)], ids=lambda uv: f"{uv[0]}-{uv[1]}")
+def test_eminus_layers_match_the_checked_constructors(uv):
+    # eminus checks its Kac label once and builds both layers directly: they
+    # are the labels atypical and dminus build, and a label outside the Kac
+    # table is still refused
+    lv = admissible_level(*uv)
+    for r in range(1, lv.u):
+        for s in range(1, lv.v):
+            for flow in range(-3, 4):
+                assert wc.eminus(lv, r, s, flow).layers == (
+                    (wc.atypical(lv, lv.u - r, lv.v - s, flow),),
+                    (wc.dminus(lv, r, s, flow),),
+                )
+    for r, s in ((0, 1), (lv.u, 1), (1, 0), (1, lv.v)):
+        with pytest.raises(OutOfKacTable):
+            wc.eminus(lv, r, s, 0)
 
 
 def test_spectral_flow_group_action():
