@@ -56,7 +56,29 @@ def json_field(data, key: str, kind: type, default=_REQUIRED):
     return data[key]
 
 
-class Weight:
+class Immutable:
+    """Base of the slotted value types (Weight, the simple labels and the
+    catalogued objects): it refuses assignment and deletion of any attribute,
+    field or not, with FrozenInstanceError.
+
+    Their constructors write each slot through :func:`slot_setters`, and their
+    ``__reduce__`` rebuilds an instance through its constructor for pickling
+    and copying.  The dataclasses among them are slotted but not ``frozen``:
+    the refusal that ``frozen=True`` generates refers to the class that
+    ``slots=True`` replaces, so on a name that is not a field it raises
+    TypeError from ``super()`` instead of FrozenInstanceError.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Weight(Immutable):
     """An exact element (p + q*w)/d of Q + Q*w, stored as three integers.
 
     The triple is normalized to d > 0 and gcd(p, q, d) = 1, which makes d the
@@ -93,12 +115,6 @@ class Weight:
         _set_p(self, a)
         _set_q(self, b)
         _set_d(self, d)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return (Weight, (self.p, self.q, self.d))
@@ -249,7 +265,7 @@ def slot_setters(cls: type) -> tuple:
 _set_p, _set_q, _set_d = slot_setters(Weight)
 
 
-class HashedOnce:
+class HashedOnce(Immutable):
     """Base of the simple labels: they key every Grothendieck class, so each is
     hashed many times, and its constructor stores the hash of its field tuple
     once in the slot ``_hash``, through :data:`set_hash`.
@@ -259,22 +275,12 @@ class HashedOnce:
     label through its constructor (``hash(None)`` differs between processes),
     so each label defines ``__reduce__``.
 
-    The labels are immutable, and this base refuses assignment and deletion as
-    Weight does, ``_hash`` included.  A label is a slotted dataclass but not a
-    ``frozen`` one: the refusal that ``frozen=True`` generates refers to the
-    class that ``slots=True`` replaces, so on a slot that is not a field it
-    raises TypeError from ``super()`` instead of FrozenInstanceError.  A label
-    must define ``__hash__ = HashedOnce.__hash__`` itself, or ``dataclass``
-    would make it unhashable.
+    The labels are :class:`Immutable`, ``_hash`` included.  A label must
+    define ``__hash__ = HashedOnce.__hash__`` itself, or ``dataclass`` would
+    make it unhashable.
     """
 
     __slots__ = ("_hash",)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __hash__(self) -> int:
         return self._hash
@@ -344,6 +350,23 @@ class AdmissibleLevel:
     def nu_table(self) -> Tuple[Tuple[Fraction, ...], ...]:
         """nu_table[r][s] = nu_{r,s} for 0 <= r <= u and 0 <= s <= v+1."""
         return _kac_table(self, _nu)
+
+    # The memos of the layers above that depend on the level live on it: they
+    # die with the level, and a hit hashes only its key, never the level.
+    @cached_property
+    def restrictions(self) -> Dict[Hashable, object]:
+        """The restriction of each simple label restricted at this level so
+        far; ``functors.restrict_simple`` fills it and bounds its size."""
+        return {}
+
+    @cached_property
+    def memo(self) -> Dict[str, object]:
+        """Values computed once per level, by name (the class of F(A))."""
+        return {}
+
+    def __reduce__(self):
+        # a pickle or copy carries u and v only, not the tables above
+        return (AdmissibleLevel, (self.u, self.v))
 
     @property
     def c_k(self) -> Fraction:

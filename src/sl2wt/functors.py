@@ -7,16 +7,26 @@ the simple M(r,s) x Pi_{l-1}(lam) restricts to sigma^l(E-_{u-r,v-s}) when
 lam = nu_{r,s} mod Z, to sigma^l(E-_{r,s}) when lam = nu_{u-r,v-s} mod Z,
 and to the typical simple sigma^l(E_{2*lam-k, Delta_{r,s}}) otherwise.
 
-Restriction and induction of simples are memoized per process, each in a
-least-recently-used table of fixed size: one pipeline run restricts each
-simple several times, and the fusion solver induces each label of its result
-twice, once to peel it and once to certify the result.  Both memos are
-transparent, since the labels and the objects they map to are frozen.  The
-induction memo holds 256 objects: the largest solution in 400 seeded cycles
-of the fuse_mix benchmark has 232 labels at seed 0, and since the solver
-certifies its latest peels first, a solution larger than the memo still
-finds 256 of its labels there.  A table of 1024 cut that benchmark's pass
-time by about 2% and raised its peak memory by about 3%.
+Restriction of simples is memoized in a table per level,
+``AdmissibleLevel.restrictions``: one pipeline run restricts each simple
+several times (11,784 calls on 2,082 labels at 13/8), and the table dies with
+its level.  It holds at most RESTRICTIONS_PER_KAC_LABEL entries per Kac label
+and is cleared when full.  The pipeline samples 24.8 to 25.8 labels per Kac
+label at 13/8, 23/12 and 37/18, so one run fits and restricts each label once.
+Clearing needs no recency bookkeeping on a hit.  A fixed 1024-entry table
+shared by all levels missed 3,321 times at 13/8 and 36,369 times at 37/18,
+and one of 4096 entries held 13/8 but raised the fuse_mix benchmark's peak
+memory by about 10%.
+
+Induction of simples is memoized per process in a least-recently-used table
+of 256 objects, sized for the fusion solver, which induces each label of its
+result twice, once to peel it and once to certify the result: the largest
+solution in 400 seeded cycles of the fuse_mix benchmark has 232 labels at
+seed 0, and since the solver certifies its latest peels first, a solution
+larger than the memo still finds 256 of its labels there.  A table of 1024
+cut that benchmark's pass time by about 2% and raised its peak memory by
+about 3%.  Both memos are transparent, since the labels and the objects they
+map to are frozen.
 """
 
 from __future__ import annotations
@@ -30,10 +40,23 @@ from . import local_cat as lc
 
 _HALF = Fraction(1, 2)
 
+RESTRICTIONS_PER_KAC_LABEL = 32
 
-@lru_cache(maxsize=1024)
+
 def restrict_simple(level: AdmissibleLevel, y: lc.SimpleALabel) -> wc.CObject:
-    """Restriction of a simple extended-algebra module to the weight category."""
+    """Restriction of a simple extended-algebra module to the weight category,
+    memoized in the level's restriction table."""
+    table = level.restrictions
+    out = table.get(y)
+    if out is None:
+        if len(table) >= RESTRICTIONS_PER_KAC_LABEL * (level.u - 1) * (level.v - 1):
+            table.clear()
+        out = table[y] = _restrict_simple(level, y)
+    return out
+
+
+def _restrict_simple(level: AdmissibleLevel, y: lc.SimpleALabel) -> wc.CObject:
+    """restrict_simple without its memo."""
     flow = y.flow + 1
     if y.lam.on_coset(nu_rs(level, y.r, y.s), 1):
         return wc.eminus(level, level.u - y.r, level.v - y.s, flow)

@@ -15,7 +15,6 @@ step, so tau is inverted (one restriction each) only on the terms that do.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from operator import attrgetter
 from typing import Dict, List, Optional, Union
 
@@ -102,10 +101,14 @@ def a_tensor_restriction(level: AdmissibleLevel, y: lc.SimpleALabel) -> wc.Groth
     return wc.comp_factors(level, wc.DirectSum(tuple(restrictions)))
 
 
-@lru_cache(maxsize=16)
 def _vacuum_class(level: AdmissibleLevel) -> lc.GrothA:
-    """The class [N] of F(A), shared between calls: never mutate it."""
-    return lc.comp_factors_a(level, induce_vacuum(level))
+    """The class [N] of F(A), kept in the level's memo and shared between
+    calls: never mutate it."""
+    memo = level.memo
+    out = memo.get("vacuum_class")
+    if out is None:
+        out = memo["vacuum_class"] = lc.comp_factors_a(level, induce_vacuum(level))
+    return out
 
 
 def a_tensor_restriction_via_ring(level: AdmissibleLevel, y: lc.SimpleALabel) -> wc.GrothC:

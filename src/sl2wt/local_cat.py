@@ -23,6 +23,7 @@ from .arithmetic import (
     AdmissibleLevel,
     Groth,
     HashedOnce,
+    Immutable,
     Weight,
     as_weight,
     check_rs,
@@ -161,8 +162,10 @@ def is_local_flow(flow) -> bool:
 A_TAGS = frozenset({"simple", "R", "M"})
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class AObject:
+# not frozen=True (see Immutable): unsafe_hash gives the hash of the field
+# tuple that frozen=True would
+@dataclass(slots=True, init=False, unsafe_hash=True)
+class AObject(Immutable):
     """A catalogued indecomposable with its Loewy layers, top first: a simple
     (tag "simple", the other fields those of its label), R(r,s;lam)@flow
     (tag "R") or M[r,s]@flow (tag "M", lam None)."""
@@ -186,6 +189,9 @@ class AObject:
         _set_obj_flow(self, flow)
         _set_obj_lam(self, lam)
         _set_obj_layers(self, layers)
+
+    def __reduce__(self):
+        return (AObject, (self.tag, self.r, self.s, self.flow, self.lam, self.layers))
 
     def __str__(self) -> str:
         if self.tag == "R":

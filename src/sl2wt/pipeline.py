@@ -40,15 +40,17 @@ class NoWitness(RuntimeError):
 FLOWS: Tuple[int, ...] = (-2, -1, 0, 1, 2)
 LAMBDA_SAMPLES: Tuple[Weight, ...] = (wt(0), wt(Fraction(1, 2)), OMEGA)
 
-# Largest number of flows one run samples.  Steps 2 and 3 take time linear in
-# the flows: at 13/8, MAX_FLOWS of them take about 10 s (2-core Xeon,
-# Python 3.11), against 0.5 s for FLOWS.
+# Largest number of flows one run samples.  Steps 2 and 3 take time that
+# grows with the flows: at 13/8, MAX_FLOWS of them take about 7.6 s against
+# 0.25 s for FLOWS (one fresh process each, import included, shared 2-core
+# Xeon, Python 3.11).
 MAX_FLOWS = 100
 
 # Largest Kac table (u-1)(v-1) one run walks.  Steps 2 and 3 take time that
-# grows with the table: 2.2 s at 23/12 (242 labels), 5.6 s at 37/18 (612),
-# 7.7 s at 41/26 (1000) and 11.2 s at 51/31 (1500), one fresh process each
-# with FLOWS (2-core Xeon, Python 3.11), so 1001/1000 would run for hours.
+# grows with the table: about 0.7 s at 23/12 (242 labels), 2.3 s at 37/18
+# (612), 3.8 s at 41/26 (1000) and 5.6 s at 51/31 (1500), medians of two or
+# three fresh processes each with FLOWS, import included (shared 2-core Xeon,
+# Python 3.11), so 1001/1000 would run for hours.
 MAX_KAC_TABLE = 1000
 
 # The Pi-sector lambdas the noncentrality witness tries, w first.

@@ -23,6 +23,7 @@ from .arithmetic import (
     AdmissibleLevel,
     Groth,
     HashedOnce,
+    Immutable,
     Weight,
     as_weight,
     check_rs,
@@ -162,8 +163,10 @@ def contragredient_obj(level: AdmissibleLevel, x: "CObject") -> "CObject":
 C_TAGS = frozenset({"simple", "E-", "E+", "P"})
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class CObject:
+# not frozen=True (see Immutable): unsafe_hash gives the hash of the field
+# tuple that frozen=True would
+@dataclass(slots=True, init=False, unsafe_hash=True)
+class CObject(Immutable):
     """A catalogued indecomposable with its Loewy layers, top first: a simple
     (tag "simple", r, s and flow those of its label), sigma^flow(E-_{r,s}),
     sigma^flow(E+_{r,s}) or sigma^flow(P_{r,s}) (tags "E-", "E+", "P")."""
@@ -182,6 +185,9 @@ class CObject:
         _set_obj_s(self, s)
         _set_obj_flow(self, flow)
         _set_obj_layers(self, layers)
+
+    def __reduce__(self):
+        return (CObject, (self.tag, self.r, self.s, self.flow, self.layers))
 
     def __str__(self) -> str:
         if self.tag == "simple":

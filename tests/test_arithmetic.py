@@ -270,7 +270,7 @@ def test_label_and_functor_hot_path_builds_no_fraction(monkeypatch, uv):
                 args.append((rr, ss, r.randint(-2, 2), as_weight(lam)))
     for name in ("t", "k", "half_t", "lam_table", "nu_table"):
         getattr(level, name)
-    fn.restrict_simple.cache_clear()
+    assert not level.restrictions  # every restriction below is computed
 
     def refuse(*args, **kwargs):
         raise AssertionError("a Fraction was built")

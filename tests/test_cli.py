@@ -170,6 +170,7 @@ def test_pipeline_command(capsys):
 PIPELINE_JSON_SHA256 = {
     "13/8": "1770a882d07b41632798e5e2eea1f287b4d83dc9118c5ca7faccfa326dc598fc",
     "5/3": "740ac8a8c6325007cc4da1731495f884304c96cff555101ecf1555a331d42ecf",
+    "23/12": "082c3e812756e696caa269f8cdd520e3878d37b4fea043eec29354602836af9f",
 }
 
 

@@ -175,3 +175,21 @@ def test_value_types_are_slotted_frozen_dataclasses(data, uv):
         assert repr(x) == f"{cls.__name__}(" + ", ".join(f"{n}={v!r}" for n, v in zip(names, values)) + ")"
         assert x == cls(*values) and x.__eq__(values) is NotImplemented
         assert x != dataclasses.replace(x, flow=x.flow + 1)
+        for twin in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x), dataclasses.replace(x)):
+            assert type(twin) is cls and twin == x and hash(twin) == hash(x)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), uv=st.sampled_from(TEST_LEVELS))
+def test_objects_refuse_attributes_that_are_not_fields(data, uv):
+    # a name that is no field or slot is refused as a field is, not with the
+    # TypeError that a slotted frozen dataclass raises from super()
+    level = admissible_level(*uv)
+    for x in (data.draw(c_objects(level)), data.draw(a_objects(level, 0))):
+        before = hash(x)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            x.foo = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del x.foo
+        assert not hasattr(x, "foo") and hash(x) == before
+        assert hash(x) == hash(tuple(getattr(x, f.name) for f in dataclasses.fields(x)))
