@@ -7,8 +7,9 @@ space Q + Q*w, where w is a fixed formal symbol treated as irrational and
 not rationally related to any other constant in play.  A :class:`Weight`
 stores (p + q*w)/d as three integers with d > 0 and gcd(p, q, d) = 1, so its
 arithmetic, hashing and coset reduction run on integers and build no
-Fraction.  The Kac-label check, the Grothendieck-group class and the
-hash-once base of the simple labels that both categories use live here too.
+Fraction.  What both categories share lives here too: the Kac-label check,
+the hash-once base of the simple labels, the Grothendieck-group class, and
+the one catalogued-object type with its direct sum.
 """
 
 from __future__ import annotations
@@ -254,9 +255,9 @@ class Weight(Immutable):
 # each constructor writes its fields through the setters of its slots.  A label
 # built so, hash included, takes 0.91-1.0 us against 1.6-1.8 us as a frozen
 # dataclass with a __dict__ whose __post_init__ set the hash through
-# object.__setattr__, and a CObject 0.74 us against 1.26 us as a slotted frozen
-# dataclass with a __post_init__ tag check (best of 7 timeit repeats, Python
-# 3.11.7 on a shared 2-core Xeon).
+# object.__setattr__, and a catalogued object 0.74 us against 1.26 us as a
+# slotted frozen dataclass with a __post_init__ tag check (best of 7 timeit
+# repeats, Python 3.11.7 on a shared 2-core Xeon).
 def slot_setters(cls: type) -> tuple:
     """The setters of the slots cls declares itself, in declaration order."""
     return tuple(vars(cls)[name].__set__ for name in cls.__slots__)
@@ -577,13 +578,6 @@ class Groth:
     def __eq__(self, other) -> bool:
         return isinstance(other, Groth) and self.coeffs == other.coeffs
 
-    def map_labels(self, fn) -> "Groth":
-        out: Dict[Hashable, int] = {}
-        for x, n in self.coeffs.items():
-            y = fn(x)
-            out[y] = out.get(y, 0) + n
-        return Groth(out, self.fuse)
-
     def sorted_items(self):
         return sorted(self.coeffs.items(), key=lambda kv: kv[0].sort_key())
 
@@ -595,3 +589,61 @@ class Groth:
         )
 
     __repr__ = __str__
+
+
+# -- catalogued objects of both categories --
+
+
+# not frozen=True (see Immutable): unsafe_hash gives the hash of the field
+# tuple that frozen=True would
+@dataclass(slots=True, init=False, unsafe_hash=True)
+class LoewyObject(Immutable):
+    """A catalogued indecomposable of either category with its Loewy layers
+    of simple labels, top first.  The tag must lie in the ``TAGS`` of the top
+    label's class: "simple" (r, s and flow those of its label) or a kind its
+    category builds; the lam of an A-side R is that of its top label."""
+
+    tag: str
+    r: int
+    s: int
+    flow: int
+    layers: Tuple[tuple, ...]
+
+    def __init__(self, tag: str, r: int, s: int, flow: int, layers: Tuple[tuple, ...]):
+        top = layers[0][0]
+        if tag not in top.TAGS:
+            raise ValueError(f"unknown {top.CAT}-object tag {tag!r}")
+        _set_obj_tag(self, tag)
+        _set_obj_r(self, r)
+        _set_obj_s(self, s)
+        _set_obj_flow(self, flow)
+        _set_obj_layers(self, layers)
+
+    def __reduce__(self):
+        return (LoewyObject, (self.tag, self.r, self.s, self.flow, self.layers))
+
+    def __str__(self) -> str:
+        if self.tag == "simple":
+            return str(self.layers[0][0])
+        if self.tag == "R":
+            return f"R({self.r},{self.s};{self.layers[0][0].lam})@{self.flow}"
+        if self.tag == "M":
+            return f"M[{self.r},{self.s}]@{self.flow}"
+        return f"{self.tag}({self.r},{self.s})@{self.flow}"
+
+
+_set_obj_tag, _set_obj_r, _set_obj_s, _set_obj_flow, _set_obj_layers = slot_setters(LoewyObject)
+
+
+@dataclass(frozen=True)
+class DirectSum:
+    """A direct sum of two or more catalogued objects or sums of one category."""
+
+    parts: Tuple[Union[LoewyObject, "DirectSum"], ...]
+
+    def __post_init__(self):
+        if len(self.parts) < 2:
+            raise ValueError(f"a direct sum needs at least two parts, got {len(self.parts)}")
+
+    def __str__(self) -> str:
+        return " (+) ".join(str(p) for p in self.parts)

@@ -95,7 +95,7 @@ def parse_alabel(level, text: str) -> lc.SimpleALabel:
     return _read_label(lc.label_from_json, level, "A", text)
 
 
-def parse_aobject(level, text: str) -> Union[lc.AObject, lc.ADirectSum]:
+def parse_aobject(level, text: str) -> Union[lc.AObject, lc.DirectSum]:
     return _read_label(lc.aobject_from_json, level, "A", text)
 
 

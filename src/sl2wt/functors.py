@@ -94,14 +94,14 @@ def induce_simple(level: AdmissibleLevel, x: wc.SimpleCLabel) -> lc.AObject:
     return lc.build_M(level, x.r, x.s + 1, x.flow)
 
 
-def induce_vacuum(level: AdmissibleLevel) -> lc.ADirectSum:
+def induce_vacuum(level: AdmissibleLevel) -> lc.DirectSum:
     """Induction of the algebra itself: A (+) M[1,2]@1.
 
     The second summand is the length-2 module with top M(1,2) x Pi_1(-t/2)
     and socle M(1,1) x Pi_2(-t) for v >= 3, and collapses to the simple
     M(1,1) x Pi_2(t) when v = 2.
     """
-    return lc.ADirectSum((lc.a_simple(lc.unit_a(level)), lc.build_M(level, 1, 2, 1)))
+    return lc.DirectSum((lc.a_simple(lc.unit_a(level)), lc.build_M(level, 1, 2, 1)))
 
 
 def tau_inverse(level: AdmissibleLevel, y: lc.SimpleALabel) -> wc.SimpleCLabel:

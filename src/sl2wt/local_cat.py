@@ -1,15 +1,19 @@
-"""The extended category side: simple local modules M(r,s) x Pi_l(lam),
-their fusion ring, duals and twist/monodromy exponents, and the catalogued
-indecomposables R (projective covers) and M (two-step images).
+"""The A side: modules over the free-field extension A (Rep A).  Its simples
+M(r,s) x Pi_l(lam) are local; here live their fusion ring, duals and
+twist/monodromy exponents, and the catalogued indecomposables R (projective
+covers) and M (two-step images).
 
 Pi-labels lam are taken mod Z; the Virasoro Kac label obeys
 M(r,s) = M(u-r,v-s) and is stored lexicographically minimal.  Twist and
 monodromy scalars are exp(2*pi*i * e) and are exposed through their exact
 exponents e in Q + Q*w, so all comparisons are exact mod 1.
 
-The catalogued indecomposables -- simples, R and M -- are one type,
-AObject, that carries its Loewy layers, top first; composition factors,
-duals and Loewy diagrams read them.
+R and the non-simple M need not be local: the twist exponents of their
+layers differ mod 1 (on every non-simple M measured), while an
+indecomposable local module has one L_0 coset mod Z.
+
+The catalogued indecomposables are arithmetic.LoewyObject, named AObject
+here, with SimpleALabel layers, top first; an R's lam is its top label's.
 """
 
 from __future__ import annotations
@@ -17,13 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
 from .arithmetic import (
     AdmissibleLevel,
+    DirectSum,
     Groth,
     HashedOnce,
-    Immutable,
+    LoewyObject,
     Weight,
     as_weight,
     check_rs,
@@ -36,6 +41,10 @@ from .arithmetic import (
 )
 
 
+# the kinds of catalogued object
+A_TAGS = frozenset({"simple", "R", "M"})
+
+
 @dataclass(slots=True, init=False)
 class SimpleALabel(HashedOnce):
     """Canonical label M(r,s) x Pi_flow(lam), lam mod Z, (r,s) ~ (u-r,v-s)."""
@@ -44,6 +53,10 @@ class SimpleALabel(HashedOnce):
     s: int
     flow: int
     lam: Weight
+
+    # the category and the tags of the catalogued objects this label tops
+    CAT = "A"
+    TAGS = A_TAGS
 
     def __init__(self, r: int, s: int, flow: int, lam: Weight):
         _set_r(self, r)
@@ -158,66 +171,11 @@ def is_local_flow(flow) -> bool:
 # Catalogued indecomposables
 
 
-# the kinds of catalogued object
-A_TAGS = frozenset({"simple", "R", "M"})
-
-
-# not frozen=True (see Immutable): unsafe_hash gives the hash of the field
-# tuple that frozen=True would
-@dataclass(slots=True, init=False, unsafe_hash=True)
-class AObject(Immutable):
-    """A catalogued indecomposable with its Loewy layers, top first: a simple
-    (tag "simple", the other fields those of its label), R(r,s;lam)@flow
-    (tag "R") or M[r,s]@flow (tag "M", lam None)."""
-
-    tag: str
-    r: int
-    s: int
-    flow: int
-    lam: Optional[Weight]
-    layers: Tuple[Tuple[SimpleALabel, ...], ...]
-
-    def __init__(
-        self, tag: str, r: int, s: int, flow: int, lam: Optional[Weight],
-        layers: Tuple[Tuple[SimpleALabel, ...], ...],
-    ):
-        if tag not in A_TAGS:
-            raise ValueError(f"unknown A-object tag {tag!r}")
-        _set_obj_tag(self, tag)
-        _set_obj_r(self, r)
-        _set_obj_s(self, s)
-        _set_obj_flow(self, flow)
-        _set_obj_lam(self, lam)
-        _set_obj_layers(self, layers)
-
-    def __reduce__(self):
-        return (AObject, (self.tag, self.r, self.s, self.flow, self.lam, self.layers))
-
-    def __str__(self) -> str:
-        if self.tag == "R":
-            return f"R({self.r},{self.s};{self.lam})@{self.flow}"
-        if self.tag == "M":
-            return f"M[{self.r},{self.s}]@{self.flow}"
-        return str(self.layers[0][0])
-
-
-_set_obj_tag, _set_obj_r, _set_obj_s, _set_obj_flow, _set_obj_lam, _set_obj_layers = slot_setters(AObject)
-
-
-@dataclass(frozen=True)
-class ADirectSum:
-    parts: Tuple[Union[AObject, "ADirectSum"], ...]
-
-    def __post_init__(self):
-        if len(self.parts) < 2:
-            raise ValueError(f"a direct sum needs at least two parts, got {len(self.parts)}")
-
-    def __str__(self) -> str:
-        return " (+) ".join(str(p) for p in self.parts)
+AObject = LoewyObject
 
 
 def a_simple(x: SimpleALabel) -> AObject:
-    return AObject("simple", x.r, x.s, x.flow, x.lam, ((x,),))
+    return AObject("simple", x.r, x.s, x.flow, ((x,),))
 
 
 def build_R(level: AdmissibleLevel, r: int, s: int, lam, flow: int) -> AObject:
@@ -239,7 +197,7 @@ def build_R(level: AdmissibleLevel, r: int, s: int, lam, flow: int) -> AObject:
     bot = (simple_a(level, r, s, flow + 2, w - level.t),)
     layers = tuple(layer for layer in (top, mid, bot) if layer)
     r, s = min((r, s), (level.u - r, level.v - s))
-    return AObject("R", r, s, flow, w, layers)
+    return AObject("R", r, s, flow, layers)
 
 
 def build_M(level: AdmissibleLevel, r: int, s: int, flow: int) -> AObject:
@@ -257,12 +215,12 @@ def build_M(level: AdmissibleLevel, r: int, s: int, flow: int) -> AObject:
         return a_simple(simple_a(level, r, level.v - 1, flow + 1, nu_rs(level, r, level.v + 1)))
     top = (simple_a(level, r, s, flow, nu_rs(level, r, s)),)
     bot = (simple_a(level, r, s - 1, flow + 1, nu_rs(level, r, s + 1)),)
-    return AObject("M", r, s, flow, None, (top, bot))
+    return AObject("M", r, s, flow, (top, bot))
 
 
 def rigid_dual(
-    level: AdmissibleLevel, x: Union[AObject, ADirectSum, SimpleALabel]
-) -> Union[AObject, ADirectSum, SimpleALabel]:
+    level: AdmissibleLevel, x: Union[AObject, DirectSum, SimpleALabel]
+) -> Union[AObject, DirectSum, SimpleALabel]:
     """Left dual of a catalogued object.
 
     R(r,s;lam)@l -> R(r,s;t-lam)@(-l-2); M-objects dualize by reversing the
@@ -270,17 +228,17 @@ def rigid_dual(
     """
     if isinstance(x, SimpleALabel):
         return rigid_dual_label(level, x)
-    if isinstance(x, ADirectSum):
-        return ADirectSum(tuple(rigid_dual(level, p) for p in x.parts))
+    if isinstance(x, DirectSum):
+        return DirectSum(tuple(rigid_dual(level, p) for p in x.parts))
     if x.tag == "R":
-        return build_R(level, x.r, x.s, level.t - x.lam, -x.flow - 2)
+        return build_R(level, x.r, x.s, level.t - x.layers[0][0].lam, -x.flow - 2)
     if x.tag == "M":
         return build_M(level, level.u - x.r, level.v - x.s + 1, -x.flow - 1)
     return a_simple(rigid_dual_label(level, x.layers[0][0]))
 
 
-def comp_factors_a(level: AdmissibleLevel, x: Union[AObject, ADirectSum]) -> GrothA:
-    if isinstance(x, ADirectSum):
+def comp_factors_a(level: AdmissibleLevel, x: Union[AObject, DirectSum]) -> GrothA:
+    if isinstance(x, DirectSum):
         total = a_class(level)
         for p in x.parts:
             comp_factors_a(level, p)._add_to(total.coeffs)
@@ -306,11 +264,11 @@ def label_from_json(level: AdmissibleLevel, data: dict) -> SimpleALabel:
     return simple_a(level, r, s, flow, Weight.from_json(json_field(data, "lam", dict)))
 
 
-def aobject_to_json(x: Union[AObject, ADirectSum]) -> dict:
-    if isinstance(x, ADirectSum):
+def aobject_to_json(x: Union[AObject, DirectSum]) -> dict:
+    if isinstance(x, DirectSum):
         return {"cat": "A", "tag": "sum", "parts": [aobject_to_json(p) for p in x.parts]}
     if x.tag == "R":
-        return {"cat": "A", "tag": "R", "r": x.r, "s": x.s, "flow": x.flow, "lam": x.lam.to_json()}
+        return {"cat": "A", "tag": "R", "r": x.r, "s": x.s, "flow": x.flow, "lam": x.layers[0][0].lam.to_json()}
     if x.tag == "M":
         return {"cat": "A", "tag": "M", "r": x.r, "s": x.s, "flow": x.flow}
     return label_to_json(x.layers[0][0])
@@ -322,7 +280,7 @@ def aobject_to_json(x: Union[AObject, ADirectSum]) -> dict:
 MAX_SUM_DEPTH = 100
 
 
-def aobject_from_json(level: AdmissibleLevel, data: dict, depth: int = 0) -> Union[AObject, ADirectSum]:
+def aobject_from_json(level: AdmissibleLevel, data: dict, depth: int = 0) -> Union[AObject, DirectSum]:
     """The A-object of data; depth counts the sums that enclose it."""
     if json_field(data, "cat", str) != "A":
         raise ValueError(f"not an A-object: {data!r}")
@@ -333,7 +291,7 @@ def aobject_from_json(level: AdmissibleLevel, data: dict, depth: int = 0) -> Uni
         if depth >= MAX_SUM_DEPTH:
             raise ValueError(f"direct sums are nested more than {MAX_SUM_DEPTH} deep")
         parts = json_field(data, "parts", list)
-        return ADirectSum(tuple(aobject_from_json(level, p, depth + 1) for p in parts))
+        return DirectSum(tuple(aobject_from_json(level, p, depth + 1) for p in parts))
     if tag not in ("R", "M"):
         raise ValueError(f"unknown A-object tag {tag!r}")
     r, s, flow = json_field(data, "r", int), json_field(data, "s", int), json_field(data, "flow", int, 0)
@@ -342,9 +300,9 @@ def aobject_from_json(level: AdmissibleLevel, data: dict, depth: int = 0) -> Uni
     return build_M(level, r, s, flow)
 
 
-def loewy_lines(x: Union[AObject, ADirectSum]) -> List[str]:
+def loewy_lines(x: Union[AObject, DirectSum]) -> List[str]:
     """ASCII Loewy diagram, one line per layer, top first."""
-    if isinstance(x, ADirectSum):
+    if isinstance(x, DirectSum):
         out: List[str] = []
         for i, p in enumerate(x.parts):
             if i:

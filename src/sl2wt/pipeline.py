@@ -320,6 +320,9 @@ def run_pipeline(level: AdmissibleLevel, flows: Sequence[int] = FLOWS) -> Report
         raise ValueError("no flows to sample: a pipeline run would check nothing")
     if flows[MAX_FLOWS:]:  # sliced, not len(): a range past sys.maxsize has no len
         raise ValueError(f"at most {MAX_FLOWS} flows can be sampled in one run")
+    for flow in flows:
+        if type(flow) is not int:  # as check_rs: a bool, float or Fraction is no flow
+            raise ValueError(f"flow {flow!r} must be an integer")
     return Report(
         level=level,
         step1=_step1(level),

@@ -8,22 +8,23 @@ L(r,0), typicals with the mirrored Kac label -- are rewritten on
 construction, so label equality is isomorphism.
 
 The catalogued indecomposables -- simples, the E-strings E-+ and the
-projectives P, each up to spectral flow -- are one type, CObject, that
-carries its Loewy layers, top first; composition factors, spectral flow
-and contragredients read them.
+projectives P, each up to spectral flow -- are arithmetic.LoewyObject,
+named CObject here, with SimpleCLabel layers, top first; composition
+factors, spectral flow and contragredients read them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Optional, Tuple, Union
+from typing import Iterable, Optional, Union
 
 from .arithmetic import (
     AdmissibleLevel,
+    DirectSum,
     Groth,
     HashedOnce,
-    Immutable,
+    LoewyObject,
     Weight,
     as_weight,
     check_rs,
@@ -38,6 +39,10 @@ class NotSimple(ValueError):
     """A typical label whose lam collides with +-lambda_{r,s} mod 2Z."""
 
 
+# the kinds of catalogued object
+C_TAGS = frozenset({"simple", "E-", "E+", "P"})
+
+
 @dataclass(slots=True, init=False)
 class SimpleCLabel(HashedOnce):
     """Canonical simple label sigma^flow(D+_{r,s}) or sigma^flow(E_{lam,Delta_{r,s}})."""
@@ -46,6 +51,10 @@ class SimpleCLabel(HashedOnce):
     r: int
     s: int
     lam: Optional[Weight] = None  # None <=> atypical
+
+    # the category and the tags of the catalogued objects this label tops
+    CAT = "C"
+    TAGS = C_TAGS
 
     def __init__(self, flow: int, r: int, s: int, lam: Optional[Weight] = None):
         _set_flow(self, flow)
@@ -159,43 +168,7 @@ def contragredient_obj(level: AdmissibleLevel, x: "CObject") -> "CObject":
 # Catalogued objects
 
 
-# the kinds of catalogued object
-C_TAGS = frozenset({"simple", "E-", "E+", "P"})
-
-
-# not frozen=True (see Immutable): unsafe_hash gives the hash of the field
-# tuple that frozen=True would
-@dataclass(slots=True, init=False, unsafe_hash=True)
-class CObject(Immutable):
-    """A catalogued indecomposable with its Loewy layers, top first: a simple
-    (tag "simple", r, s and flow those of its label), sigma^flow(E-_{r,s}),
-    sigma^flow(E+_{r,s}) or sigma^flow(P_{r,s}) (tags "E-", "E+", "P")."""
-
-    tag: str
-    r: int
-    s: int
-    flow: int
-    layers: Tuple[Tuple[SimpleCLabel, ...], ...]
-
-    def __init__(self, tag: str, r: int, s: int, flow: int, layers: Tuple[Tuple[SimpleCLabel, ...], ...]):
-        if tag not in C_TAGS:
-            raise ValueError(f"unknown C-object tag {tag!r}")
-        _set_obj_tag(self, tag)
-        _set_obj_r(self, r)
-        _set_obj_s(self, s)
-        _set_obj_flow(self, flow)
-        _set_obj_layers(self, layers)
-
-    def __reduce__(self):
-        return (CObject, (self.tag, self.r, self.s, self.flow, self.layers))
-
-    def __str__(self) -> str:
-        if self.tag == "simple":
-            return str(self.layers[0][0])
-        return f"{self.tag}({self.r},{self.s})@{self.flow}"
-
-
-_set_obj_tag, _set_obj_r, _set_obj_s, _set_obj_flow, _set_obj_layers = slot_setters(CObject)
+CObject = LoewyObject
 
 
 def simple(x: SimpleCLabel) -> CObject:
@@ -230,14 +203,6 @@ def projective(level: AdmissibleLevel, r: int, s: int, flow: int = 0) -> CObject
         sub, quo = eminus(level, r, v - 1, flow + 2), eminus(level, u - r, 1, flow)
     middle = tuple(sorted(quo.layers[1] + sub.layers[0], key=SimpleCLabel.sort_key))
     return CObject("P", r, s, flow, (quo.layers[0], middle, sub.layers[1]))
-
-
-@dataclass(frozen=True)
-class DirectSum:
-    parts: Tuple[CObject, ...]
-
-    def __str__(self) -> str:
-        return " (+) ".join(str(p) for p in self.parts)
 
 
 def direct_sum(parts: Iterable[CObject]) -> Union[CObject, DirectSum]:
@@ -303,14 +268,6 @@ def cobject_to_json(x: Union[CObject, DirectSum]) -> dict:
     if x.tag == "simple":
         return label_to_json(x.layers[0][0])
     return {"cat": "C", "tag": x.tag, "r": x.r, "s": x.s, "flow": x.flow}
-
-
-def groth_flow(x: GrothC, m: int) -> GrothC:
-    return x.map_labels(lambda lbl: spectral_flow(lbl, m))
-
-
-def groth_contragredient(level: AdmissibleLevel, x: GrothC) -> GrothC:
-    return x.map_labels(lambda lbl: contragredient(level, lbl))
 
 
 def comp_factors(level: AdmissibleLevel, x: Union[CObject, DirectSum]) -> GrothC:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from sl2wt import OMEGA, Weight, admissible_level
+from sl2wt.arithmetic import LoewyObject
 from sl2wt import weight_cat as wc
 from sl2wt import local_cat as lc
 from sl2wt.cli import parse_alabel, parse_clabel
@@ -57,7 +58,7 @@ def a_objects(draw, level, depth=1):
         return lc.build_R(level, r, draw(st.integers(1, level.v - 1)), draw(lams), flow)
     if kind == "M":
         return lc.build_M(level, r, draw(st.integers(1, level.v)), flow)
-    return lc.ADirectSum(tuple(draw(st.lists(a_objects(level, 0), min_size=2, max_size=3))))
+    return lc.DirectSum(tuple(draw(st.lists(a_objects(level, 0), min_size=2, max_size=3))))
 
 
 def _via_json_text(to_json, from_json, level, x):
@@ -149,8 +150,7 @@ def c_objects(draw, level):
 DECLARED = {
     wc.SimpleCLabel: ("flow", "r", "s", "lam"),
     lc.SimpleALabel: ("r", "s", "flow", "lam"),
-    wc.CObject: ("tag", "r", "s", "flow", "layers"),
-    lc.AObject: ("tag", "r", "s", "flow", "lam", "layers"),
+    LoewyObject: ("tag", "r", "s", "flow", "layers"),  # wc.CObject and lc.AObject
 }
 
 

@@ -8,7 +8,7 @@ from sl2wt import OMEGA, OutOfKacTable, admissible_level, pi_conf_weight, wt
 from sl2wt.arithmetic import h_rs, nu_rs
 from sl2wt import local_cat as lc
 
-from conftest import random_weight, rng
+from conftest import map_labels, random_weight, rng
 
 
 def random_alabel(level, r):
@@ -159,7 +159,7 @@ def test_rigid_dual_is_ring_map(level):
     for _ in range(40):
         x = random_alabel(level, r)
         y = random_alabel(level, r)
-        lhs = lc.a_fuse(level, x, y).map_labels(lambda z: lc.rigid_dual_label(level, z))
+        lhs = map_labels(lc.a_fuse(level, x, y), lambda z: lc.rigid_dual_label(level, z))
         rhs = lc.a_fuse(level, lc.rigid_dual_label(level, x), lc.rigid_dual_label(level, y))
         assert lhs == rhs
 
@@ -293,7 +293,7 @@ def test_aobject_json_round_trip():
         lc.a_simple(lc.simple_a(lv, 1, 2, -1, wt(F(5, 6)))),
         lc.build_R(lv, 1, 1, OMEGA, 2),
         lc.build_M(lv, 2, 2, -3),
-        lc.ADirectSum((lc.a_simple(lc.unit_a(lv)), lc.build_M(lv, 1, 2, 1))),
+        lc.DirectSum((lc.a_simple(lc.unit_a(lv)), lc.build_M(lv, 1, 2, 1))),
     ]
     for obj in objects:
         blob = json.dumps(lc.aobject_to_json(obj), sort_keys=True)

@@ -7,6 +7,7 @@ weight category side (simples, E- and E+) and the rigid dual on the local side
 (simples, R and M).  Layers are compared as multisets.
 """
 
+import re
 from collections import Counter
 from fractions import Fraction as F
 
@@ -92,7 +93,7 @@ def test_layer_duality_catches_a_wrong_m_socle(monkeypatch):
             return right_build_M(level, r, s, flow)
         top = (lc.simple_a(level, r, s, flow, nu_rs(level, r, s)),)
         bot = (lc.simple_a(level, r, s - 1, flow + 1, nu_rs(level, r, s)),)
-        return lc.AObject("M", r, s, flow, None, (top, bot))
+        return lc.AObject("M", r, s, flow, (top, bot))
 
     right_build_M = lc.build_M
     monkeypatch.setattr(lc, "build_M", wrong_build_M)
@@ -125,6 +126,53 @@ def test_unknown_tags_are_refused():
         wc.CObject("E", x.r, x.s, x.flow, x.layers)
     y = lc.a_simple(lc.simple_a(admissible_level(5, 3), 1, 1, 0, OMEGA))
     with pytest.raises(ValueError, match="unknown A-object tag"):
-        lc.AObject("m", y.r, y.s, y.flow, y.lam, y.layers)
+        lc.AObject("m", y.r, y.s, y.flow, y.layers)
     assert wc.C_TAGS == {"simple", "E-", "E+", "P"}
     assert lc.A_TAGS == {"simple", "R", "M"}
+
+
+def test_r_and_simple_a_objects_take_their_fields_from_the_top_label(layer_level):
+    # an A-object stores no lam: R(r,s;lam)@flow prints the lam of its top label
+    level = layer_level
+    for r in range(1, level.u):
+        for s in range(1, level.v):
+            r0, s0 = min((r, s), (level.u - r, level.v - s))
+            for flow in FLOWS:
+                for lam in LAMS:
+                    x = lc.build_R(level, r, s, lam, flow)
+                    top = x.layers[0][0]
+                    assert (x.r, x.s, x.flow) == (top.r, top.s, top.flow) == (r0, s0, flow)
+                    assert top.lam == lam.reduce(1)
+                    assert str(x) == f"R({r0},{s0};{top.lam})@{flow}"
+                    assert lc.aobject_to_json(x)["lam"] == top.lam.to_json()
+                    y = lc.simple_a(level, r, s, flow, lam)
+                    x = lc.a_simple(y)
+                    assert (x.r, x.s, x.flow, x.layers) == (y.r, y.s, y.flow, ((y,),))
+                    assert str(x) == str(y)
+
+
+def test_direct_sums_of_both_categories_need_two_parts():
+    level = admissible_level(5, 3)
+    x = wc.simple(wc.atypical(level, 1, 1))
+    y = lc.a_simple(lc.unit_a(level))
+    assert wc.DirectSum is lc.DirectSum and wc.CObject is lc.AObject
+    for part in (x, y):
+        for parts in ((), (part,)):
+            with pytest.raises(ValueError, match="at least two parts"):
+                wc.DirectSum(parts)
+    assert wc.direct_sum([x]) is x
+    assert str(wc.direct_sum([x, x])) == f"{x} (+) {x}"
+
+
+def test_tags_of_the_other_category_are_refused():
+    # the tag is checked against the category of the top label, not against
+    # the tags of both categories
+    level = admissible_level(5, 3)
+    x = wc.eminus(level, 1, 1)
+    y = lc.build_R(level, 1, 1, OMEGA, 0)
+    for tag in lc.A_TAGS - wc.C_TAGS:
+        with pytest.raises(ValueError, match=re.escape(f"unknown C-object tag '{tag}'")):
+            wc.CObject(tag, x.r, x.s, x.flow, x.layers)
+    for tag in wc.C_TAGS - lc.A_TAGS:
+        with pytest.raises(ValueError, match=re.escape(f"unknown A-object tag '{tag}'")):
+            lc.AObject(tag, y.r, y.s, y.flow, y.layers)

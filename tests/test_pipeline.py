@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -147,6 +148,16 @@ def test_flows_must_be_nonempty_and_bounded():
         with pytest.raises(ValueError, match=f"at most {MAX_FLOWS} flows"):
             run_pipeline(lv, flows=long)
     assert run_pipeline(admissible_level(3, 2), flows=range(MAX_FLOWS)).verdict
+
+
+def test_flows_must_be_integers():
+    lv = admissible_level(5, 3)
+    # each passed or raised TypeError before the check; a bool is no flow,
+    # as it is no Kac label entry
+    for bad in (0.5, F(1, 2), True, "a"):
+        for flows in ((bad,), (0, bad)):
+            with pytest.raises(ValueError, match=re.escape(f"flow {bad!r} must be an integer")):
+                run_pipeline(lv, flows=flows)
 
 
 def test_kac_table_is_capped(monkeypatch):
