@@ -352,8 +352,16 @@ class AdmissibleLevel:
         """nu_table[r][s] = nu_{r,s} for 0 <= r <= u and 0 <= s <= v+1."""
         return _kac_table(self, _nu)
 
-    # The memos of the layers above that depend on the level live on it: they
-    # die with the level, and a hit hashes only its key, never the level.
+    # The memos of the layers above that depend on the level live on it: the
+    # simple A-labels built, the restrictions computed and the class of F(A).
+    # They die with the level, and a hit hashes only its key, never the level.
+    @cached_property
+    def a_labels(self) -> Dict[Tuple[int, ...], object]:
+        """The simple A-label built at this level for each canonical integer
+        key (r, s, flow, p, q, d) so far; ``local_cat.simple_a`` fills it and
+        bounds its size."""
+        return {}
+
     @cached_property
     def restrictions(self) -> Dict[Hashable, object]:
         """The restriction of each simple label restricted at this level so
@@ -451,6 +459,12 @@ def check_rs(level: AdmissibleLevel, r: int, s: int, s_min: int = 1, s_max: Opti
     if not (1 <= r <= level.u - 1 and s_min <= s <= s_max):
         bounds = f"[1,{level.u - 1}] x [{s_min},{s_max}]"
         raise OutOfKacTable(f"(r, s) = ({r}, {s}) outside {bounds} at level {level}")
+
+
+def check_flow(flow: int) -> None:
+    """Validate a spectral-flow index: an int (a bool, float, Fraction or str is no flow)."""
+    if type(flow) is not int:
+        raise ValueError(f"flow {flow!r} must be an integer")
 
 
 def kac_data(level: AdmissibleLevel, r: int, s: int) -> KacData:
@@ -635,6 +649,13 @@ class LoewyObject(Immutable):
 _set_obj_tag, _set_obj_r, _set_obj_s, _set_obj_flow, _set_obj_layers = slot_setters(LoewyObject)
 
 
+def _category(x: Union[LoewyObject, "DirectSum"]) -> str:
+    """The CAT of the top label of x, or of the first part of a sum."""
+    while isinstance(x, DirectSum):
+        x = x.parts[0]
+    return x.layers[0][0].CAT
+
+
 @dataclass(frozen=True)
 class DirectSum:
     """A direct sum of two or more catalogued objects or sums of one category."""
@@ -644,6 +665,9 @@ class DirectSum:
     def __post_init__(self):
         if len(self.parts) < 2:
             raise ValueError(f"a direct sum needs at least two parts, got {len(self.parts)}")
+        cats = {_category(p) for p in self.parts}
+        if len(cats) > 1:
+            raise ValueError(f"a direct sum takes parts of one category, got {sorted(cats)}")
 
     def __str__(self) -> str:
         return " (+) ".join(str(p) for p in self.parts)

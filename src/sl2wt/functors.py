@@ -16,7 +16,9 @@ label at 13/8, 23/12 and 37/18, so one run fits and restricts each label once.
 Clearing needs no recency bookkeeping on a hit.  A fixed 1024-entry table
 shared by all levels missed 3,321 times at 13/8 and 36,369 times at 37/18,
 and one of 4096 entries held 13/8 but raised the fuse_mix benchmark's peak
-memory by about 10%.
+memory by about 10%.  The keys are simple A-labels, which local_cat.simple_a
+hands out from the level's label table, so a hit on a label built since that
+table was last cleared matches by identity.
 
 Induction of simples is memoized per process in a least-recently-used table
 of 256 objects, sized for the fusion solver, which induces each label of its
@@ -25,7 +27,8 @@ solution in 400 seeded cycles of the fuse_mix benchmark has 232 labels at
 seed 0, and since the solver certifies its latest peels first, a solution
 larger than the memo still finds 256 of its labels there.  A table of 1024
 cut that benchmark's pass time by about 2% and raised its peak memory by
-about 3%.  Both memos are transparent, since the labels and the objects they
+about 3%.  The objects it holds are layered with the level's shared
+A-labels.  Both memos are transparent, since the labels and the objects they
 map to are frozen.
 """
 

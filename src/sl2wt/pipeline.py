@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .arithmetic import OMEGA, AdmissibleLevel, Weight, wt
+from .arithmetic import OMEGA, AdmissibleLevel, Weight, check_flow, wt
 from . import weight_cat as wc
 from . import local_cat as lc
 from . import functors as fn
@@ -321,8 +321,7 @@ def run_pipeline(level: AdmissibleLevel, flows: Sequence[int] = FLOWS) -> Report
     if flows[MAX_FLOWS:]:  # sliced, not len(): a range past sys.maxsize has no len
         raise ValueError(f"at most {MAX_FLOWS} flows can be sampled in one run")
     for flow in flows:
-        if type(flow) is not int:  # as check_rs: a bool, float or Fraction is no flow
-            raise ValueError(f"flow {flow!r} must be an integer")
+        check_flow(flow)
     return Report(
         level=level,
         step1=_step1(level),

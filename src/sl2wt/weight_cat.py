@@ -27,6 +27,7 @@ from .arithmetic import (
     LoewyObject,
     Weight,
     as_weight,
+    check_flow,
     check_rs,
     json_field,
     lam_rs,
@@ -88,6 +89,7 @@ _set_flow, _set_r, _set_s, _set_lam = slot_setters(SimpleCLabel)
 def atypical(level: AdmissibleLevel, r: int, s: int, flow: int = 0) -> SimpleCLabel:
     """sigma^flow(D+_{r,s}), already canonical."""
     check_rs(level, r, s)
+    check_flow(flow)
     return SimpleCLabel(flow, r, s, None)
 
 
@@ -99,6 +101,7 @@ def typical(level: AdmissibleLevel, r: int, s: int, lam, flow: int = 0) -> Simpl
     cosets lam = +-lambda_{r,s} mod 2Z.
     """
     check_rs(level, r, s)
+    check_flow(flow)
     w = as_weight(lam).reduce(2)
     lam_r = lam_rs(level, r, s)
     for sign, factor in (("+", 1), ("-", -1)):
@@ -111,6 +114,7 @@ def typical(level: AdmissibleLevel, r: int, s: int, lam, flow: int = 0) -> Simpl
 def lr0(level: AdmissibleLevel, r: int, flow: int = 0) -> SimpleCLabel:
     """sigma^flow(L_{r,0}) rewritten as sigma^(flow-1)(D+_{u-r,v-1})."""
     check_rs(level, r, 0, 0, 0)
+    check_flow(flow)
     return SimpleCLabel(flow - 1, level.u - r, level.v - 1, None)
 
 
@@ -129,6 +133,7 @@ def dminus(level: AdmissibleLevel, r: int, s: int, flow: int = 0) -> SimpleCLabe
     D-_{r,v-1} = sigma^(-2)(D+_{r,v-1}); s = 0 is again L_{r,0}.
     """
     check_rs(level, r, s, 0)
+    check_flow(flow)
     if s == 0:
         return lr0(level, r, flow)
     return _dminus(level, r, s, flow)
@@ -180,6 +185,7 @@ def eminus(level: AdmissibleLevel, r: int, s: int, flow: int = 0) -> CObject:
     builds one on each atypical memo miss, so the Kac label is checked once:
     (u-r, v-s) lies in the Kac table when (r, s) does."""
     check_rs(level, r, s)
+    check_flow(flow)
     top = SimpleCLabel(flow, level.u - r, level.v - s, None)
     return CObject("E-", r, s, flow, ((top,), (_dminus(level, r, s, flow),)))
 
@@ -196,6 +202,7 @@ def projective(level: AdmissibleLevel, r: int, s: int, flow: int = 0) -> CObject
     extension of the E-string quo by the E-string sub, so its layers are the
     top of quo, the socle of quo with the top of sub, and the socle of sub."""
     check_rs(level, r, s)
+    check_flow(flow)
     u, v = level.u, level.v
     if s <= v - 2:
         sub, quo = eminus(level, u - r, v - s - 1, flow + 1), eminus(level, u - r, v - s, flow)

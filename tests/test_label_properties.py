@@ -6,6 +6,7 @@ import copy
 import dataclasses
 import json
 import pickle
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -193,3 +194,44 @@ def test_objects_refuse_attributes_that_are_not_fields(data, uv):
             del x.foo
         assert not hasattr(x, "foo") and hash(x) == before
         assert hash(x) == hash(tuple(getattr(x, f.name) for f in dataclasses.fields(x)))
+
+
+# each label and object constructor at a fixed valid label, given only the flow
+FLOW_CONSTRUCTORS = {
+    "simple_a": lambda lv, flow: lc.simple_a(lv, 1, 1, flow, 0),
+    "typical": lambda lv, flow: wc.typical(lv, 1, 1, F(1, 7), flow),
+    "atypical": lambda lv, flow: wc.atypical(lv, 1, 1, flow),
+    "dplus": lambda lv, flow: wc.dplus(lv, 1, 1, flow),
+    "dminus": lambda lv, flow: wc.dminus(lv, 1, 1, flow),
+    "lr0": lambda lv, flow: wc.lr0(lv, 1, flow),
+    "eminus": lambda lv, flow: wc.eminus(lv, 1, 1, flow),
+    "eplus": lambda lv, flow: wc.eplus(lv, 1, 1, flow),
+    "projective": lambda lv, flow: wc.projective(lv, 1, 1, flow),
+    "build_R": lambda lv, flow: lc.build_R(lv, 1, 1, F(1, 7), flow),
+    "build_M": lambda lv, flow: lc.build_M(lv, 1, 2, flow),
+}
+
+
+@pytest.mark.parametrize("flow", [0.5, True, F(1, 2), "1"], ids=repr)
+@pytest.mark.parametrize("name", sorted(FLOW_CONSTRUCTORS))
+def test_label_constructors_refuse_flows_that_are_not_integers(name, flow):
+    lv = admissible_level(5, 3)
+    build = FLOW_CONSTRUCTORS[name]
+    assert build(lv, 1).flow in (-1, 0, 1)  # an int flow is taken
+    with pytest.raises(ValueError, match=re.escape(f"flow {flow!r} must be an integer")):
+        build(lv, flow)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), uv=st.sampled_from(TEST_LEVELS), c_first=st.booleans())
+def test_direct_sums_of_mixed_categories_are_refused(data, uv, c_first):
+    # a sum's category is that of its parts' top labels, or of a nested sum's
+    # first part; the readers and writers of each side expect their own
+    level = admissible_level(*uv)
+    c, a = data.draw(c_objects(level)), data.draw(a_objects(level))
+    c2, a2 = data.draw(c_objects(level)), data.draw(a_objects(level, 0))
+    assert wc.DirectSum((wc.DirectSum((c, c2)), c)).parts[1] is c
+    assert lc.DirectSum((a, lc.DirectSum((a2, a)))).parts[0] is a
+    for parts in ((c, a), (c, c2, a), (wc.DirectSum((c, c2)), a), (lc.DirectSum((a2, a2)), c)):
+        with pytest.raises(ValueError, match="a direct sum takes parts of one category"):
+            wc.DirectSum(parts if c_first else parts[::-1])

@@ -1,22 +1,27 @@
 """The memos of the hot path are transparent.
 
-``functors.restrict_simple`` memoizes into a table per level, bounded by the
-level's Kac table and cleared when full, ``fusion`` keeps the class of F(A)
-in the level's memo, and ``functors.induce_simple`` has a per-process memo.
-A memo must give the unmemoized answer on a miss and on a hit, the shared
-F(A) class must survive a pipeline run unchanged, one level's table must not
-evict another's, a full table must not change a run's output, a copied level
-must start with empty tables, and no memo may carry a step-2 route's result
-from one run into the next.
+``local_cat.simple_a`` hands out each simple A-label from a table per level,
+and ``functors.restrict_simple`` memoizes into another; both are bounded by
+the level's Kac table and cleared when full.  ``fusion`` keeps the class of
+F(A) in the level's memo, and ``functors.induce_simple`` has a per-process
+memo.  A memo must give the unmemoized answer on a miss and on a hit, the
+shared F(A) class must survive a pipeline run unchanged, one level's table
+must not evict another's or hand out its labels, a full table must not
+change a run's output, a copied level must start with empty tables, a warm
+label table must still refuse every label a cold one refuses, equal labels
+of one level must come back as one object, and no memo may carry a step-2
+route's result from one run into the next.
 """
 
 import copy
 import pickle
+import re
+from fractions import Fraction as F
 
 import pytest
 
-from sl2wt import admissible_level
-from sl2wt.arithmetic import nu_rs
+from sl2wt import OMEGA, Weight, admissible_level
+from sl2wt.arithmetic import as_weight, check_rs, nu_rs
 from sl2wt import local_cat as lc
 from sl2wt import functors as fn
 from sl2wt import fusion as fu
@@ -184,3 +189,120 @@ def test_corrupted_fusion_fails_step2_after_a_warm_run(monkeypatch):
     # ... and still saw the corrupted fusion
     assert not report.step2.passed
     assert not report.verdict
+
+
+def _direct_label(level, r, s, flow, lam) -> lc.SimpleALabel:
+    """The canonical label built without the level's table."""
+    r, s = min((r, s), (level.u - r, level.v - s))
+    return lc.SimpleALabel(r, s, flow, as_weight(lam).reduce(1))
+
+
+def _key(y) -> tuple:
+    return (y.r, y.s, y.flow, y.lam.p, y.lam.q, y.lam.d)
+
+
+@pytest.mark.parametrize("uv", MEMO_LEVELS, ids=lambda uv: f"{uv[0]}-{uv[1]}")
+def test_label_table_is_transparent(uv):
+    lv = admissible_level(*uv)
+    r = rng(uv[0] * 100 + uv[1] + 3)
+    misses = 0
+    for _ in range(60):
+        rr, ss, flow = r.randint(1, lv.u - 1), r.randint(1, lv.v - 1), r.randint(-3, 3)
+        lam = r.choice([r.randint(-3, 3), random_fraction(r), random_weight(r)])
+        direct = _direct_label(lv, rr, ss, flow, lam)
+        misses += _key(direct) not in lv.a_labels
+        got = lc.simple_a(lv, rr, ss, flow, lam)  # miss or hit
+        assert got == direct and hash(got) == hash(direct) and str(got) == str(direct)
+        assert lv.a_labels[_key(direct)] is got
+        assert lc.simple_a(lv, rr, ss, flow, lam) is got  # hit
+    assert misses == len(lv.a_labels) > 0
+
+
+def test_equal_labels_come_back_as_one_object():
+    lv = admissible_level(13, 8)
+    third = lc.simple_a(lv, 3, 5, 2, F(1, 3))
+    zero = lc.simple_a(lv, 3, 5, 2, 0)
+    generic = lc.simple_a(lv, 3, 5, 2, OMEGA)
+    for r, s in ((3, 5), (10, 3)):  # the Kac label and its mirror
+        for lam in (F(1, 3), F(7, 3), F(-2, 3), Weight(F(1, 3)), Weight(F(4, 3))):
+            assert lc.simple_a(lv, r, s, 2, lam) is third
+        for lam in (0, 4, -1, F(2), Weight(3), Weight(0, 0)):
+            assert lc.simple_a(lv, r, s, 2, lam) is zero
+        assert lc.simple_a(lv, r, s, 2, OMEGA + 1) is generic
+    assert len({id(third), id(zero), id(generic)}) == 3 and len(lv.a_labels) == 3
+
+
+def test_a_warm_label_table_still_refuses_bad_arguments():
+    lv = admissible_level(5, 3)
+    assert run_pipeline(lv).verdict
+    assert lc.simple_a(lv, 1, 1, 1, 0) in lv.a_labels.values()
+    cold = admissible_level(5, 3)
+    # True and 1.0 equal 1 and hash as 1, so they would find M(1,1)xPi(1;0)
+    for r, s in ((0, 1), (True, 1), (1.0, 1), (1, True), (5, 1), (1, 3), (-4, 1)):
+        with pytest.raises(ValueError) as refused:
+            check_rs(cold, r, s)
+        with pytest.raises(type(refused.value), match=re.escape(str(refused.value))):
+            lc.simple_a(lv, r, s, 1, 0)
+    for flow in (True, 1.0, 0.5, F(1, 2), "1"):
+        with pytest.raises(ValueError, match=re.escape(f"flow {flow!r} must be an integer")):
+            lc.simple_a(lv, 1, 1, flow, 0)
+    assert not cold.a_labels
+
+
+class _RecordingTable(dict):
+    """A label table that records its largest size and counts its clears."""
+
+    def __init__(self):
+        super().__init__()
+        self.largest = 0
+        self.clears = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.largest = max(self.largest, len(self))
+
+    def clear(self):
+        self.clears += 1
+        super().clear()
+
+
+def test_a_run_past_the_label_bound_keeps_the_table_bounded(monkeypatch):
+    flows = range(-40, 40)
+    unbounded = admissible_level(5, 3)
+    with monkeypatch.context() as m:
+        m.setattr(lc, "A_LABELS_PER_KAC_LABEL", 10**9)
+        expected = run_pipeline(unbounded, flows).to_json()
+    bound = lc.A_LABELS_PER_KAC_LABEL * 4 * 2
+    assert len(unbounded.a_labels) > bound  # this run would fill the table
+    lv = admissible_level(5, 3)
+    table = lv.__dict__["a_labels"] = _RecordingTable()
+    assert lv.a_labels is table
+    assert run_pipeline(lv, flows).to_json() == expected
+    assert 0 < table.largest <= bound
+    assert table.clears > 1  # the table was cleared on the way
+
+
+def test_interleaved_levels_keep_their_own_label_tables():
+    levels = [admissible_level(5, 3), admissible_level(13, 8)]
+    units = [lc.unit_a(lv) for lv in levels]
+    assert units[0] == units[1] and units[0] is not units[1]
+    r = rng(7)
+    own = [{_key(y): y} for y in units]
+    for _ in range(200):
+        for lv, seen in zip(levels, own):
+            rr, ss, flow = r.randint(1, lv.u - 1), r.randint(1, lv.v - 1), r.randint(-3, 3)
+            got = lc.simple_a(lv, rr, ss, flow, random_weight(r))
+            assert seen.setdefault(_key(got), got) is got  # a hit returns the stored object
+    for lv, seen in zip(levels, own):
+        assert lv.a_labels == seen  # nothing cleared, nothing from the other level
+        assert all(lv.a_labels[k] is y for k, y in seen.items())
+
+
+def test_a_copied_level_starts_with_an_empty_label_table():
+    lv = admissible_level(5, 3)
+    y = lc.unit_a(lv)
+    assert lv.a_labels
+    for twin in (pickle.loads(pickle.dumps(lv)), copy.copy(lv), copy.deepcopy(lv)):
+        assert twin == lv and not twin.a_labels
+        z = lc.unit_a(twin)
+        assert z == y and z is not y and list(twin.a_labels.values()) == [z]
