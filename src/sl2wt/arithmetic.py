@@ -353,13 +353,21 @@ class AdmissibleLevel:
         return _kac_table(self, _nu)
 
     # The memos of the layers above that depend on the level live on it: the
-    # simple A-labels built, the restrictions computed and the class of F(A).
-    # They die with the level, and a hit hashes only its key, never the level.
+    # simple A-labels built, the Virasoro fusion channels computed, the
+    # restrictions computed and the class of F(A).  They die with the level,
+    # and a hit hashes only its key, never the level.
     @cached_property
     def a_labels(self) -> Dict[Tuple[int, ...], object]:
         """The simple A-label built at this level for each canonical integer
         key (r, s, flow, p, q, d) so far; ``local_cat.simple_a`` fills it and
         bounds its size."""
+        return {}
+
+    @cached_property
+    def channels(self) -> Dict[Tuple[int, int, int, int], Tuple[Tuple[int, int], ...]]:
+        """The Virasoro fusion channels of each ordered pair of Kac labels
+        (r, s, r', s') fused at this level so far; ``local_cat.vir_fuse``
+        fills it, at most ((u-1)(v-1))^2 entries."""
         return {}
 
     @cached_property

@@ -31,13 +31,25 @@ calls and compare weights 322,434 times instead of 769,527.  Over 10
 alternating benchmark pairs (Python 3.11.7, shared 2-core Xeon) the table cut
 the median pass time of fuse_mix by 11.6% and of the pipeline ladder by 7.8%,
 and raised their peak memory by 1.7% and 1.9%.
+
+Each level also keeps the Virasoro channels of every ordered pair of Kac
+labels it has fused, ``AdmissibleLevel.channels``, keyed by (r, s, r', s')
+as vir_fuse was given them.  Every vir_fuse call still checks both Kac
+labels, and each returns a fresh list.  The Kac table bounds the table at
+((u-1)(v-1))^2 entries, so it is never cleared.  Only a few pairs occur: 40
+seed-0 fuse_mix cycles make 55,211 vir_fuse calls on 719 pairs (16, 81 and
+622 entries at 5/3, 7/4 and 11/6), and a 13/8 pipeline run makes 3,672 calls
+on 84 (242 entries at 23/12).  a_fuse and comp_factors_a each count their
+class into one dict and wrap it without a copy.  Over 10 alternating
+benchmark pairs (Python 3.11.7, shared 2-core Xeon) the two cut the median
+pass time of fuse_mix by 10.9% and of the pipeline ladder by 6.4%, and
+raised the peak memory of fuse_mix by 2.2%.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
 from typing import List, Tuple, Union
 
 from .arithmetic import (
@@ -138,24 +150,43 @@ def vir_fuse(level: AdmissibleLevel, r: int, s: int, rp: int, sp: int) -> List[T
 
     r'' runs from |r-r'|+1 to min(r+r'-1, 2u-r-r'-1) in steps of 2, and s''
     analogously with v.  Multiplicity-free.
+
+    Every call checks both Kac labels; the channels of each ordered pair are
+    computed once per level and kept in ``level.channels`` under (r, s, r', s')
+    as given, at most ((u-1)(v-1))^2 entries.  Each call returns a fresh list.
     """
-    check_rs(level, r, s)
-    check_rs(level, rp, sp)
-    rr = range(abs(r - rp) + 1, min(r + rp - 1, 2 * level.u - r - rp - 1) + 1, 2)
-    ss = range(abs(s - sp) + 1, min(s + sp - 1, 2 * level.v - s - sp - 1) + 1, 2)
-    return [(a, b) for a in rr for b in ss]
+    u, v = level.u, level.v
+    if not (
+        type(r) is int and type(s) is int and type(rp) is int and type(sp) is int
+        and 0 < r < u and 0 < s < v and 0 < rp < u and 0 < sp < v
+    ):
+        check_rs(level, r, s)
+        check_rs(level, rp, sp)
+    key = (r, s, rp, sp)
+    table = level.channels
+    out = table.get(key)
+    if out is None:
+        rr = range(abs(r - rp) + 1, min(r + rp - 1, 2 * u - r - rp - 1) + 1, 2)
+        ss = range(abs(s - sp) + 1, min(s + sp - 1, 2 * v - s - sp - 1) + 1, 2)
+        out = table[key] = tuple((a, b) for a in rr for b in ss)
+    return list(out)
 
 
 def pi_fuse(flow: int, lam, flowp: int, lamp) -> Tuple[int, Weight]:
     """Pi_l(lam) x Pi_l'(lam') = Pi_{l+l'}(lam+lam'), lam mod Z."""
-    return flow + flowp, (as_weight(lam) + as_weight(lamp)).reduce(1)
+    lam = lam if lam.__class__ is Weight else as_weight(lam)
+    lamp = lamp if lamp.__class__ is Weight else as_weight(lamp)
+    return flow + flowp, (lam + lamp).reduce(1)
 
 
 def a_fuse(level: AdmissibleLevel, x: SimpleALabel, y: SimpleALabel) -> Groth:
-    """Fusion of simples: Virasoro channels tensored with the Pi product."""
+    """Fusion of simples: Virasoro channels tensored with the Pi product.
+
+    Virasoro fusion is multiplicity-free on folded labels, so each channel's
+    label enters the class once."""
     flow, lam = pi_fuse(x.flow, x.lam, y.flow, y.lam)
-    channels = vir_fuse(level, x.r, x.s, y.r, y.s)
-    return a_class(level, *(simple_a(level, rr, ss, flow, lam) for rr, ss in channels))
+    out = {simple_a(level, rr, ss, flow, lam): 1 for rr, ss in vir_fuse(level, x.r, x.s, y.r, y.s)}
+    return Groth._own(out, partial(a_fuse, level))
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +312,12 @@ def comp_factors_a(level: AdmissibleLevel, x: Union[AObject, DirectSum]) -> Grot
         for p in x.parts:
             comp_factors_a(level, p)._add_to(total.coeffs)
         return total
-    return a_class(level, *chain.from_iterable(x.layers))
+    out = {}
+    get = out.get
+    for layer in x.layers:
+        for y in layer:
+            out[y] = get(y, 0) + 1
+    return Groth._own(out, partial(a_fuse, level))
 
 
 # -- JSON label schema --

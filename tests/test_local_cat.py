@@ -1,14 +1,16 @@
 import json
 from fractions import Fraction as F
-from itertools import product
+from itertools import chain, product
 
 import pytest
 
 from sl2wt import OMEGA, OutOfKacTable, admissible_level, pi_conf_weight, wt
-from sl2wt.arithmetic import h_rs, nu_rs
+from sl2wt.arithmetic import DirectSum, Groth, h_rs, nu_rs
 from sl2wt import local_cat as lc
 
-from conftest import map_labels, random_weight, rng
+from conftest import TEST_LEVELS, map_labels, random_weight, rng
+
+CHANNEL_LEVELS = TEST_LEVELS + [(13, 8)]
 
 
 def random_alabel(level, r):
@@ -312,3 +314,49 @@ def test_build_R_middle_layer_in_sort_key_order(level):
                 for layer in mid:
                     assert list(layer) == sorted(layer, key=lambda x: x.sort_key())
                     assert len({(x.r, x.s) for x in layer}) == len(layer)
+
+
+def _kac_pairs(level):
+    table = [(r, s) for r in range(1, level.u) for s in range(1, level.v)]
+    return product(table, repeat=2)
+
+
+@pytest.mark.parametrize("uv", CHANNEL_LEVELS, ids=lambda uv: f"{uv[0]}-{uv[1]}")
+def test_folded_virasoro_channels_are_distinct(uv):
+    # a_fuse enters each channel's label once, so no two channels of one
+    # product may fold to the same Kac label
+    lv = admissible_level(*uv)
+    for a, b in _kac_pairs(lv):
+        folded = [min((r, s), (lv.u - r, lv.v - s)) for r, s in lc.vir_fuse(lv, *a, *b)]
+        assert folded and len(set(folded)) == len(folded), (a, b)
+
+
+@pytest.mark.parametrize("uv", CHANNEL_LEVELS, ids=lambda uv: f"{uv[0]}-{uv[1]}")
+def test_a_fuse_is_the_class_of_its_channels(uv):
+    lv = admissible_level(*uv)
+    r = rng(uv[0] * 100 + uv[1] + 5)
+    for _ in range(60):
+        x, y = random_alabel(lv, r), random_alabel(lv, r)
+        flow, lam = x.flow + y.flow, x.lam + y.lam
+        channels = lc.vir_fuse(lv, x.r, x.s, y.r, y.s)
+        got = lc.a_fuse(lv, x, y)
+        assert got == Groth.of(*(lc.simple_a(lv, rr, ss, flow, lam) for rr, ss in channels))
+        assert got.fuse.func is lc.a_fuse and got.fuse.args == (lv,)
+
+
+@pytest.mark.parametrize("uv", CHANNEL_LEVELS, ids=lambda uv: f"{uv[0]}-{uv[1]}")
+def test_comp_factors_a_counts_every_layer_label(uv):
+    lv = admissible_level(*uv)
+    objects = []
+    for r in range(1, lv.u):
+        for flow in (-1, 0, 1):
+            objects += [lc.build_M(lv, r, s, flow) for s in range(1, lv.v + 1)]
+            for s in range(1, lv.v):
+                for lam in (wt(0), nu_rs(lv, r, s), wt(F(1, 3)), OMEGA, wt(F(1, 5), 1)):
+                    objects.append(lc.build_R(lv, r, s, lam, flow))
+    for x in objects:
+        got = lc.comp_factors_a(lv, x)
+        assert got == Groth.of(*chain.from_iterable(x.layers)), str(x)
+        assert got.fuse.func is lc.a_fuse and got.fuse.args == (lv,)
+    total = lc.comp_factors_a(lv, DirectSum(tuple(objects)))
+    assert total == Groth.of(*(y for x in objects for layer in x.layers for y in layer))

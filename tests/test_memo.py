@@ -2,15 +2,18 @@
 
 ``local_cat.simple_a`` hands out each simple A-label from a table per level,
 and ``functors.restrict_simple`` memoizes into another; both are bounded by
-the level's Kac table and cleared when full.  ``fusion`` keeps the class of
-F(A) in the level's memo, and ``functors.induce_simple`` has a per-process
-memo.  A memo must give the unmemoized answer on a miss and on a hit, the
-shared F(A) class must survive a pipeline run unchanged, one level's table
-must not evict another's or hand out its labels, a full table must not
-change a run's output, a copied level must start with empty tables, a warm
-label table must still refuse every label a cold one refuses, equal labels
-of one level must come back as one object, and no memo may carry a step-2
-route's result from one run into the next.
+the level's Kac table and cleared when full.  ``local_cat.vir_fuse`` keeps
+the Virasoro channels of each ordered pair of Kac labels in a third table
+per level, which the Kac table bounds.  ``fusion`` keeps the class of F(A)
+in the level's memo, and ``functors.induce_simple`` has a per-process memo.
+A memo must give the unmemoized answer on a miss and on a hit, the shared
+F(A) class must survive a pipeline run unchanged, one level's table must not
+evict another's or hand out its labels, a full table must not change a
+run's output, a copied level must start with empty tables, a warm label or
+channel table must still refuse every argument a cold one refuses, equal
+labels of one level must come back as one object, a caller may change the
+channel list it was given, and no memo may carry a step-2 route's result
+from one run into the next.
 """
 
 import copy
@@ -306,3 +309,97 @@ def test_a_copied_level_starts_with_an_empty_label_table():
         assert twin == lv and not twin.a_labels
         z = lc.unit_a(twin)
         assert z == y and z is not y and list(twin.a_labels.values()) == [z]
+
+
+def _channels(level, r, s, rp, sp) -> list:
+    """The Virasoro fusion channels of (r, s) x (r', s'), computed afresh."""
+    u, v = level.u, level.v
+    return [
+        (a, b)
+        for a in range(abs(r - rp) + 1, min(r + rp - 1, 2 * u - r - rp - 1) + 1, 2)
+        for b in range(abs(s - sp) + 1, min(s + sp - 1, 2 * v - s - sp - 1) + 1, 2)
+    ]
+
+
+def _kac_pairs(level) -> list:
+    table = [(r, s) for r in range(1, level.u) for s in range(1, level.v)]
+    return [a + b for a in table for b in table]
+
+
+@pytest.mark.parametrize("uv", MEMO_LEVELS, ids=lambda uv: f"{uv[0]}-{uv[1]}")
+def test_channel_table_is_transparent(uv):
+    lv = admissible_level(*uv)
+    pairs = _kac_pairs(lv)
+    rng(uv[0] * 100 + uv[1] + 4).shuffle(pairs)
+    for key in pairs + pairs:  # a miss, then a hit
+        assert lc.vir_fuse(lv, *key) == _channels(lv, *key)
+    assert lv.channels == {key: tuple(_channels(lv, *key)) for key in pairs}
+    assert len(lv.channels) == ((lv.u - 1) * (lv.v - 1)) ** 2
+
+
+def test_a_caller_may_change_its_channel_list():
+    lv = admissible_level(11, 6)
+    first = lc.vir_fuse(lv, 3, 2, 4, 3)
+    assert first == _channels(lv, 3, 2, 4, 3) and len(first) > 1
+    first.append((1, 1))
+    first.reverse()
+    second = lc.vir_fuse(lv, 3, 2, 4, 3)
+    assert second == _channels(lv, 3, 2, 4, 3) and second is not first
+
+
+def test_a_warm_channel_table_still_refuses_bad_arguments():
+    lv = admissible_level(5, 3)
+    assert run_pipeline(lv).verdict
+    assert (1, 1, 1, 1) in lv.channels and (1, 1, 1, 2) in lv.channels
+    cold = admissible_level(5, 3)
+    # True and 1.0 equal 1 and hash as 1, so they would find a warm entry
+    for r, s in ((True, 1), (1.0, 1), (1, True), (1, 1.0), (0, 1), (1, 3), (5, 1)):
+        with pytest.raises(ValueError) as refused:
+            check_rs(cold, r, s)
+        for args in ((r, s, 1, 1), (1, 1, r, s), (r, s, 1, 2)):
+            with pytest.raises(type(refused.value), match=re.escape(str(refused.value))):
+                lc.vir_fuse(lv, *args)
+            with pytest.raises(type(refused.value), match=re.escape(str(refused.value))):
+                lc.vir_fuse(cold, *args)
+    assert not cold.channels
+
+
+def test_interleaved_levels_keep_their_own_channel_tables():
+    levels = [admissible_level(5, 3), admissible_level(13, 8)]
+    pairs = _kac_pairs(levels[0])
+    assert any(_channels(levels[0], *p) != _channels(levels[1], *p) for p in pairs)
+    for key in pairs:
+        for lv in levels:
+            assert lc.vir_fuse(lv, *key) == _channels(lv, *key)
+    for lv in levels:
+        assert lv.channels == {key: tuple(_channels(lv, *key)) for key in pairs}
+
+
+def test_a_copied_level_starts_with_an_empty_channel_table():
+    lv = admissible_level(5, 3)
+    assert run_pipeline(lv).verdict and lv.channels
+    for twin in (pickle.loads(pickle.dumps(lv)), copy.copy(lv), copy.deepcopy(lv)):
+        assert twin == lv and not twin.channels
+        assert lc.vir_fuse(twin, 2, 1, 2, 1) == [(1, 1), (3, 1)]
+        assert twin.channels == {(2, 1, 2, 1): ((1, 1), (3, 1))}
+
+
+def test_corrupted_channels_fail_step2_after_a_warm_channel_table(monkeypatch):
+    lv = admissible_level(5, 3)
+    assert run_pipeline(lv).verdict
+    warm = dict(lv.channels)
+    assert warm
+    calls = []
+
+    def corrupted(level, r, s, rp, sp):
+        calls.append((r, s, rp, sp))
+        return [(1, 1)]
+
+    monkeypatch.setattr(lc, "vir_fuse", corrupted)
+    report = run_pipeline(lv)
+    # the corruption was met on pairs whose channels the level had kept ...
+    assert any(key in warm for key in calls)
+    # ... and step 2 saw it
+    assert not report.step2.passed
+    assert not report.verdict
+    assert lv.channels == warm  # the patched function wrote nothing
