@@ -6,8 +6,11 @@ are ``fractions.Fraction`` and generic weight parameters live in the rank-2
 space Q + Q*w, where w is a fixed formal symbol treated as irrational and
 not rationally related to any other constant in play.  A :class:`Weight`
 stores (p + q*w)/d as three integers with d > 0 and gcd(p, q, d) = 1, so its
-arithmetic, hashing and coset reduction run on integers and build no
-Fraction.  What both categories share lives here too: the Kac-label check,
+arithmetic, hashing, coset reduction and printing run on integers and build
+no Fraction.  ``Weight.affine(m, c)`` gives m*lam + c in one normalization,
+the one gcd of the one Weight it builds, for the Pi-weights the functors and
+duals derive from a label: (lam+k)/2, 2*lam - k and t - lam.  What both
+categories share lives here too: the Kac-label check,
 the hash-once base of the simple labels, the Grothendieck-group class, and
 the one catalogued-object type with its direct sum.
 """
@@ -158,7 +161,7 @@ class Weight(Immutable):
         return Weight(self.p * d - p * self.d, self.q * d - q * self.d, self.d * d)
 
     def __rsub__(self, other) -> "Weight":
-        return -self + other
+        return self.affine(-1, other)
 
     def __neg__(self) -> "Weight":
         return Weight(-self.p, -self.q, self.d)
@@ -168,6 +171,15 @@ class Weight(Immutable):
         return Weight(self.p * n, self.q * n, self.d * m)
 
     __rmul__ = __mul__
+
+    def affine(self, m: Rational, c: Union["Weight", Rational]) -> "Weight":
+        """m*self + c for an exact rational m and a weight or exact rational c,
+        built as one Weight, so with one gcd: the derived Pi-weights (lam+k)/2,
+        2*lam - k and t - lam of the functors and duals each take one call."""
+        n, dm = _ratio(m)
+        p, q, d = _triple(c)
+        dd = dm * self.d
+        return Weight(n * self.p * d + p * dd, n * self.q * d + q * dd, dd * d)
 
     def __bool__(self) -> bool:
         return self.p != 0 or self.q != 0
@@ -220,19 +232,21 @@ class Weight(Immutable):
     # -- I/O --
 
     def __str__(self) -> str:
-        a, b = self.a, self.b
-        if b == 0:
-            return str(a)
-        if b == 1:
+        """a+bw with each part in lowest terms, "n" or "n/m" as a Fraction
+        prints; the coefficient of w is left out when it is 1 or -1, and a
+        zero part is left out.  Printed from p, q and d, with no Fraction."""
+        p, q, d = self.p, self.q, self.d
+        if not q:
+            return _ratio_str(p, d)
+        if q == d:
             wpart = "w"
-        elif b == -1:
+        elif q == -d:
             wpart = "-w"
         else:
-            wpart = f"{b}w"
-        if a == 0:
+            wpart = _ratio_str(q, d) + "w"
+        if not p:
             return wpart
-        sign = "+" if b > 0 else ""
-        return f"{a}{sign}{wpart}"
+        return f"{_ratio_str(p, d)}{'+' if q > 0 else ''}{wpart}"
 
     def to_json(self) -> dict:
         ga, gb = math.gcd(self.p, self.d), math.gcd(self.q, self.d)
@@ -290,6 +304,14 @@ class HashedOnce(Immutable):
 (set_hash,) = slot_setters(HashedOnce)
 
 
+def _ratio_str(n: int, d: int) -> str:
+    """n/d for d > 0 in lowest terms, as str of the Fraction prints it."""
+    g = math.gcd(n, d)
+    if g == d:
+        return str(n // d)
+    return f"{n // g}/{d // g}"
+
+
 def _triple(x: Union[Weight, Rational]) -> Tuple[int, int, int]:
     """(p, q, d) of a weight or an exact rational."""
     cls = x.__class__
@@ -328,8 +350,8 @@ class AdmissibleLevel:
                 f"(u, v) = ({self.u}, {self.v}) is not coprime with u, v >= 2"
             )
 
-    # t, k, t/2 and the Kac tables are read on every label, functor and
-    # Pi-sector step: build them once per level
+    # t, k, t/2, the shifts below and the Kac tables are read on every label,
+    # functor and Pi-sector step: build them once per level
     @cached_property
     def t(self) -> Fraction:
         return Fraction(self.u, self.v)
@@ -341,6 +363,16 @@ class AdmissibleLevel:
     @cached_property
     def half_t(self) -> Fraction:
         return Fraction(self.u, 2 * self.v)
+
+    # the shifts of tau, induction and restriction, (lam+k)/2 and 2*lam - k,
+    # as Weights built from u and v, so a first use builds no Fraction
+    @cached_property
+    def half_k_weight(self) -> Weight:
+        return Weight(self.u - 2 * self.v, 0, 2 * self.v)
+
+    @cached_property
+    def minus_k_weight(self) -> Weight:
+        return Weight(2 * self.v - self.u, 0, self.v)
 
     @cached_property
     def lam_table(self) -> Tuple[Tuple[Fraction, ...], ...]:

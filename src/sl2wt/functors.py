@@ -65,13 +65,13 @@ def _restrict_simple(level: AdmissibleLevel, y: lc.SimpleALabel) -> wc.CObject:
         return wc.eminus(level, level.u - y.r, level.v - y.s, flow)
     if y.lam.on_coset(nu_rs(level, level.u - y.r, level.v - y.s), 1):
         return wc.eminus(level, y.r, y.s, flow)
-    return wc.simple(wc.typical(level, y.r, y.s, 2 * y.lam - level.k, flow))
+    return wc.simple(wc.typical(level, y.r, y.s, y.lam.affine(2, level.minus_k_weight), flow))
 
 
 def tau(level: AdmissibleLevel, x: wc.SimpleCLabel) -> lc.SimpleALabel:
     """The simple extended module containing x: x embeds into its restriction."""
     if x.is_typical:
-        return lc.simple_a(level, x.r, x.s, x.flow - 1, (x.lam + level.k) * _HALF)
+        return lc.simple_a(level, x.r, x.s, x.flow - 1, x.lam.affine(_HALF, level.half_k_weight))
     if x.s <= level.v - 2:
         return lc.simple_a(level, x.r, x.s + 1, x.flow, nu_rs(level, x.r, x.s + 1))
     ru = level.u - x.r
@@ -93,7 +93,7 @@ def induce_simple(level: AdmissibleLevel, x: wc.SimpleCLabel) -> lc.AObject:
     sigma^l(D+_{r,s}) -> M[r,s+1]@l (simple when s = v-1).
     """
     if x.is_typical:
-        return lc.build_R(level, x.r, x.s, (x.lam + level.k) * _HALF, x.flow - 1)
+        return lc.build_R(level, x.r, x.s, x.lam.affine(_HALF, level.half_k_weight), x.flow - 1)
     return lc.build_M(level, x.r, x.s + 1, x.flow)
 
 

@@ -89,16 +89,19 @@ def a_tensor_restriction(level: AdmissibleLevel, y: lc.SimpleALabel) -> wc.Groth
     Computed directly from the printed exact sequence: the restriction of y
     itself, plus the three-part complement with Pi-data
     (l+2, lam-t) and (l+1, lam-t/2) at Kac labels (r, s-+1), components with
-    s-part 0 or v dropped.
+    s-part 0 or v dropped.  The layer labels of these restrictions are
+    counted into one dict.
     """
-    pieces = [(y.r, y.s, y.flow + 2, y.lam - level.t)]
-    pieces += [
-        (y.r, s2, y.flow + 1, y.lam - level.half_t)
-        for s2 in (y.s - 1, y.s + 1)
-        if 1 <= s2 <= level.v - 1
-    ]
-    restrictions = [restrict_simple(level, z) for z in [y] + [lc.simple_a(level, *p) for p in pieces]]
-    return wc.comp_factors(level, wc.DirectSum(tuple(restrictions)))
+    lam_mid = y.lam - level.half_t
+    labels = [y, lc.simple_a(level, y.r, y.s, y.flow + 2, y.lam - level.t)]
+    labels += [lc.simple_a(level, y.r, s2, y.flow + 1, lam_mid) for s2 in (y.s - 1, y.s + 1) if 1 <= s2 <= level.v - 1]
+    out = {}
+    get = out.get
+    for z in labels:
+        for layer in restrict_simple(level, z).layers:
+            for x in layer:
+                out[x] = get(x, 0) + 1
+    return wc.GrothC._own(out)
 
 
 def _vacuum_class(level: AdmissibleLevel) -> lc.GrothA:

@@ -211,7 +211,7 @@ def rigid_dual_label(level: AdmissibleLevel, x: SimpleALabel) -> SimpleALabel:
 
 def gv_dual(level: AdmissibleLevel, x: SimpleALabel) -> SimpleALabel:
     """Grothendieck-Verdier dual: (r, s, l, lam) -> (r, s, -l-2, t-lam)."""
-    return simple_a(level, x.r, x.s, -x.flow - 2, level.t - x.lam)
+    return simple_a(level, x.r, x.s, -x.flow - 2, x.lam.affine(-1, level.t))
 
 
 def twist_exponent(level: AdmissibleLevel, x: SimpleALabel) -> Weight:
@@ -254,11 +254,8 @@ def build_R(level: AdmissibleLevel, r: int, s: int, lam, flow: int) -> AObject:
     check_rs(level, r, s)
     w = as_weight(lam).reduce(1)
     top = (simple_a(level, r, s, flow, w),)
-    mid = tuple(
-        simple_a(level, r, s2, flow + 1, w - level.half_t)
-        for s2 in (s - 1, s + 1)
-        if 1 <= s2 <= level.v - 1
-    )
+    w_mid = w - level.half_t
+    mid = tuple(simple_a(level, r, s2, flow + 1, w_mid) for s2 in (s - 1, s + 1) if 1 <= s2 <= level.v - 1)
     # the middle labels share flow and lam, and their canonical Kac labels
     # differ (u and v are coprime), so (r, s) gives the sort_key order
     if len(mid) == 2 and (mid[1].r, mid[1].s) < (mid[0].r, mid[0].s):
@@ -300,7 +297,7 @@ def rigid_dual(
     if isinstance(x, DirectSum):
         return DirectSum(tuple(rigid_dual(level, p) for p in x.parts))
     if x.tag == "R":
-        return build_R(level, x.r, x.s, level.t - x.layers[0][0].lam, -x.flow - 2)
+        return build_R(level, x.r, x.s, x.layers[0][0].lam.affine(-1, level.t), -x.flow - 2)
     if x.tag == "M":
         return build_M(level, level.u - x.r, level.v - x.s + 1, -x.flow - 1)
     return a_simple(rigid_dual_label(level, x.layers[0][0]))

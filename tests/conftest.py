@@ -5,9 +5,15 @@ import pytest
 
 from sl2wt import Weight, admissible_level
 from sl2wt.arithmetic import Groth
+from sl2wt import functors as fn
+from sl2wt import weight_cat as wc
+from sl2wt.pipeline import FLOWS, _typical_samples
 
 # the seven acceptance levels; both v = 2 and v >= 3 branches are covered
 TEST_LEVELS = [(3, 2), (5, 2), (2, 3), (3, 4), (5, 3), (4, 3), (7, 2)]
+
+# the acceptance levels and the largest level of the benchmark's pipeline ladder
+SAMPLE_LEVELS = TEST_LEVELS + [(13, 8)]
 
 
 @pytest.fixture(params=TEST_LEVELS, ids=lambda uv: f"{uv[0]}-{uv[1]}")
@@ -36,3 +42,16 @@ def map_labels(x: Groth, fn) -> Groth:
         z = fn(y)
         out[z] = out.get(z, 0) + n
     return Groth(out)
+
+
+def step2_samples(level):
+    """The simple A-labels that step 2 of the pipeline checks, in its order:
+    tau-tilde of each atypical D+(r,s)@0, then the typical samples of (r, s)
+    at every flow of FLOWS."""
+    out = []
+    for r in range(1, level.u):
+        for s in range(1, level.v):
+            out.append(fn.tau_tilde(level, wc.atypical(level, r, s, 0)))
+            for flow in FLOWS:
+                out.extend(y for y, _ in _typical_samples(level, r, s, flow))
+    return out

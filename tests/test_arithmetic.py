@@ -256,6 +256,57 @@ def test_weight_hot_path_builds_no_fraction(monkeypatch):
     assert not x.is_integral and not x.is_rational and bool(x)
 
 
+# -- printing from the three integers --
+
+_big = st.integers(-(10**30), 10**30)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(-99, 99) | _big, st.integers(-99, 99) | _big, st.integers(1, 60) | st.integers(1, 10**30))
+@example(0, 0, 1)  # zero
+@example(7, 0, 1)  # integers
+@example(-7, 0, 1)
+@example(0, 1, 1)  # +-w, alone and after a rational part
+@example(0, -1, 1)
+@example(3, 1, 1)
+@example(-1, -2, 2)
+@example(-3, 0, 6)  # negative fractions in either part
+@example(0, -2, 5)
+@example(-5, -6, 15)
+@example(1, 2, 4)  # (1 + 2w)/4: the w-part 1/2 needs its own gcd
+@example(10**30 + 1, -(10**29), 7)  # large integers
+def test_weight_str_matches_the_fraction_formatter(p, q, d):
+    assert str(Weight(p, q, d)) == _model_str(F(p, d), F(q, d))
+
+
+def test_weight_str_builds_no_fraction(monkeypatch):
+    weights = [Weight(p, q, d) for p, q, d in ((0, 0, 1), (-3, 0, 6), (1, 2, 4), (-5, -6, 15), (2, -2, 2))]
+    expected = [_model_str(x.a, x.b) for x in weights]
+    assert expected == ["0", "-1/2", "1/4+1/2w", "-1/3-2/5w", "1-w"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(F, "__new__", refuse)
+    assert [str(x) for x in weights] == expected
+
+
+# -- affine: m*x + c in one normalization --
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pairs, st.integers(-30, 30) | _fractions, st.integers(-30, 30) | _fractions | _pairs)
+@example((F(1, 3), F(-2, 5)), F(1, 2), (F(-1, 6), F(1, 5)))  # the w-parts cancel to 0
+@example((F(0), F(0)), 0, F(0))
+def test_weight_affine_matches_scale_and_shift(xp, m, cp):
+    x = Weight(*xp)
+    c = Weight(*cp) if isinstance(cp, tuple) else cp
+    ca, cb = cp if isinstance(cp, tuple) else (cp, 0)
+    got = x.affine(m, c)
+    assert got == m * x + c
+    _check_against(got, (m * xp[0] + ca, m * xp[1] + cb))
+
+
 @pytest.mark.parametrize("uv", TEST_LEVELS + [(13, 8)], ids=lambda uv: f"{uv[0]}-{uv[1]}")
 def test_label_and_functor_hot_path_builds_no_fraction(monkeypatch, uv):
     # once a level has built its constants (t, k, t/2 and the lambda and nu

@@ -7,8 +7,9 @@ from sl2wt.arithmetic import nu_rs
 from sl2wt import weight_cat as wc
 from sl2wt import local_cat as lc
 from sl2wt import functors as fn
+from sl2wt.pipeline import FLOWS
 
-from conftest import random_weight, rng
+from conftest import SAMPLE_LEVELS, random_weight, rng, step2_samples
 from test_weight_cat import random_label, vacuum_extension
 
 
@@ -274,3 +275,31 @@ def test_gv_dual_restricts_to_contragredient(level):
             lhs = fn.restrict_simple(level, lc.gv_dual(level, y))
             rhs = wc.contragredient_obj(level, fn.restrict_simple(level, y))
             assert lhs == rhs
+
+
+@pytest.mark.parametrize("uv", SAMPLE_LEVELS, ids=lambda uv: f"{uv[0]}-{uv[1]}")
+def test_affine_call_sites_match_their_old_expressions(uv):
+    # 2*lam - k, (lam+k)/2 and t - lam, each now one Weight.affine, against
+    # the expressions they replaced, on every simple that step 2 checks and
+    # on the typical restriction of each
+    level = admissible_level(*uv)
+    k, t, half = level.k, level.t, F(1, 2)
+    typicals = 0
+    for y in step2_samples(level):
+        assert y.lam.affine(2, level.minus_k_weight) == 2 * y.lam - k
+        assert y.lam.affine(-1, t) == -y.lam + t  # the old Fraction - Weight
+        assert lc.gv_dual(level, y) == lc.simple_a(level, y.r, y.s, -y.flow - 2, -y.lam + t)
+        res = fn.restrict_simple(level, y)
+        if res.tag != "simple":
+            continue
+        typicals += 1
+        x = res.layers[0][0]
+        assert res == wc.simple(wc.typical(level, y.r, y.s, 2 * y.lam - k, y.flow + 1))
+        assert x.lam.affine(half, level.half_k_weight) == (x.lam + k) * half
+        assert fn.tau(level, x) == lc.simple_a(level, x.r, x.s, x.flow - 1, (x.lam + k) * half)
+        big_r = fn.induce_simple(level, x)
+        assert big_r == lc.build_R(level, x.r, x.s, (x.lam + k) * half, x.flow - 1)
+        lam = big_r.layers[0][0].lam
+        assert lc.rigid_dual(level, big_r) == lc.build_R(level, big_r.r, big_r.s, -lam + t, -big_r.flow - 2)
+    # lam = w gives a typical sample at every (r, s, flow)
+    assert typicals >= len(FLOWS) * (level.u - 1) * (level.v - 1)

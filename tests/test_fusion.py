@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sl2wt import OMEGA, Weight, admissible_level, wt
-from sl2wt.arithmetic import lam_rs
+from sl2wt.arithmetic import DirectSum, lam_rs
 from sl2wt import weight_cat as wc
 from sl2wt import local_cat as lc
 from sl2wt import functors as fn
 from sl2wt import fusion as fu
+from sl2wt.pipeline import run_pipeline
 
-from conftest import TEST_LEVELS, map_labels, random_weight, rng
+from conftest import SAMPLE_LEVELS, TEST_LEVELS, map_labels, random_weight, rng, step2_samples
 from test_weight_cat import random_label
 
 
@@ -357,3 +358,45 @@ def test_a_tensor_restriction_v2_collapse():
     y = lc.simple_a(lv, 1, 1, 0, OMEGA)
     got = fu.a_tensor_restriction(lv, y)
     assert sum(n for _, n in got.items()) == 2  # both s+-1 terms vanish
+
+
+def _a_tensor_restriction_by_sum(level, y):
+    """The direct route as it was first written: the four restrictions folded
+    through a DirectSum and its composition factors."""
+    pieces = [(y.r, y.s, y.flow + 2, y.lam - level.t)]
+    pieces += [
+        (y.r, s2, y.flow + 1, y.lam - level.half_t)
+        for s2 in (y.s - 1, y.s + 1)
+        if 1 <= s2 <= level.v - 1
+    ]
+    restrictions = [fn.restrict_simple(level, z) for z in [y] + [lc.simple_a(level, *p) for p in pieces]]
+    return wc.comp_factors(level, DirectSum(tuple(restrictions)))
+
+
+@pytest.mark.parametrize("uv", SAMPLE_LEVELS, ids=lambda uv: f"{uv[0]}-{uv[1]}")
+def test_a_tensor_restriction_matches_the_direct_sum(uv):
+    level = admissible_level(*uv)
+    samples = step2_samples(level)
+    # restrictions of both kinds: typical simples and atypical E-strings
+    assert {fn.restrict_simple(level, y).tag for y in samples} == {"simple", "E-"}
+    for y in samples:
+        got = fu.a_tensor_restriction(level, y)
+        assert got == _a_tensor_restriction_by_sum(level, y)
+        assert got.fuse is None and all(n > 0 for _, n in got.items())
+
+
+def test_a_tensor_restriction_dropping_a_piece_fails_step2(monkeypatch):
+    lv = admissible_level(5, 3)
+    direct = fu.a_tensor_restriction
+
+    def without_bottom(level, y):
+        # the restriction of the bottom piece (l+2, lam-t) goes missing
+        bottom = fn.restrict_simple(level, lc.simple_a(level, y.r, y.s, y.flow + 2, y.lam - level.t))
+        return direct(level, y) - wc.comp_factors(level, bottom)
+
+    monkeypatch.setattr(fu, "a_tensor_restriction", without_bottom)
+    report = run_pipeline(lv)
+    assert not report.step2.passed and not report.verdict
+    checks = report.step2.typical_multiplicity_checks + report.step2.atypical_multiplicity_checks
+    assert all(not c.routes_agree for c in checks)
+    assert report.step1.passed and report.step3.passed and report.step4.passed

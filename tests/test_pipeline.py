@@ -211,3 +211,22 @@ def test_report_serialization():
     assert "verdict: PASS" in text
     assert "step 1" in text and "step 4" in text
     assert "|" in text  # the Loewy diagram of the length-2 summand
+
+
+def _checks(report):
+    return report.step2.typical_multiplicity_checks + report.step2.atypical_multiplicity_checks
+
+
+def test_mult_check_passed_agrees_with_its_failures(monkeypatch):
+    lv = admissible_level(5, 3)
+    clean = _checks(run_pipeline(lv))
+    assert clean and all(c.passed and not c.failures() for c in clean)
+    # a wrong expected count alone
+    wrong = MultCheck(clean[0].label, clean[0].expected + 1, clean[0].got, clean[0].difference)
+    assert not wrong.passed and wrong.failures() == [f"multiplicity expected {wrong.expected}, got {wrong.got}"]
+
+    monkeypatch.setattr(lc, "vir_fuse", lambda level, r, s, rp, sp: [(1, 1)])
+    corrupted = _checks(run_pipeline(lv))
+    failing = [c for c in corrupted if c.failures()]
+    assert failing and all(not c.passed for c in failing)
+    assert all(c.passed == (not c.failures()) for c in corrupted)
