@@ -9,27 +9,20 @@ and to the typical simple sigma^l(E_{2*lam-k, Delta_{r,s}}) otherwise.
 
 Restriction of simples is memoized in a table per level,
 ``AdmissibleLevel.restrictions``: one pipeline run restricts each simple
-several times (11,784 calls on 2,082 labels at 13/8), and the table dies with
-its level.  It holds at most RESTRICTIONS_PER_KAC_LABEL entries per Kac label
-and is cleared when full.  The pipeline samples 24.8 to 25.8 labels per Kac
-label at 13/8, 23/12 and 37/18, so one run fits and restricts each label once.
-Clearing needs no recency bookkeeping on a hit.  A fixed 1024-entry table
-shared by all levels missed 3,321 times at 13/8 and 36,369 times at 37/18,
-and one of 4096 entries held 13/8 but raised the fuse_mix benchmark's peak
-memory by about 10%.  The keys are simple A-labels, which local_cat.simple_a
-hands out from the level's label table, so a hit on a label built since that
-table was last cleared matches by identity.
+several times, and the table dies with its level.  It holds at most
+RESTRICTIONS_PER_KAC_LABEL entries per Kac label, more than a pipeline run
+samples, and is cleared when full, so a hit needs no recency bookkeeping.
+The keys are simple A-labels, which local_cat.simple_a hands out from the
+level's label table, so a hit on a label built since that table was last
+cleared matches by identity.
 
 Induction of simples is memoized per process in a least-recently-used table
 of 256 objects, sized for the fusion solver, which induces each label of its
-result twice, once to peel it and once to certify the result: the largest
-solution in 400 seeded cycles of the fuse_mix benchmark has 232 labels at
-seed 0, and since the solver certifies its latest peels first, a solution
-larger than the memo still finds 256 of its labels there.  A table of 1024
-cut that benchmark's pass time by about 2% and raised its peak memory by
-about 3%.  The objects it holds are layered with the level's shared
-A-labels.  Both memos are transparent, since the labels and the objects they
-map to are frozen.
+result twice, once to peel it and once to certify the result.  Since the
+solver certifies its latest peels first, a solution larger than the memo
+still finds 256 of its labels there.  The objects it holds are layered with
+the level's shared A-labels.  Both memos are transparent, since the labels
+and the objects they map to are frozen.
 """
 
 from __future__ import annotations

@@ -24,26 +24,13 @@ labels of one level are then one object, so the dict lookups of
 Grothendieck sums and of the restriction and induction memos match them by
 identity and skip the dataclass and Weight equality.  The table holds at
 most A_LABELS_PER_KAC_LABEL labels per Kac label and is cleared when full.
-A 13/8 pipeline run builds 5,562 labels in 19,351 calls, clears the table
-twice and compares labels 1,100 times instead of 13,173; 40 seed-0 cycles of
-the fuse_mix benchmark, checks included, build 87,555 labels in 261,219
-calls and compare weights 322,434 times instead of 769,527.  Over 10
-alternating benchmark pairs (Python 3.11.7, shared 2-core Xeon) the table cut
-the median pass time of fuse_mix by 11.6% and of the pipeline ladder by 7.8%,
-and raised their peak memory by 1.7% and 1.9%.
 
 Each level also keeps the Virasoro channels of every ordered pair of Kac
 labels it has fused, ``AdmissibleLevel.channels``, keyed by (r, s, r', s')
 as vir_fuse was given them.  Every vir_fuse call still checks both Kac
 labels, and each returns a fresh list.  The Kac table bounds the table at
-((u-1)(v-1))^2 entries, so it is never cleared.  Only a few pairs occur: 40
-seed-0 fuse_mix cycles make 55,211 vir_fuse calls on 719 pairs (16, 81 and
-622 entries at 5/3, 7/4 and 11/6), and a 13/8 pipeline run makes 3,672 calls
-on 84 (242 entries at 23/12).  a_fuse and comp_factors_a each count their
-class into one dict and wrap it without a copy.  Over 10 alternating
-benchmark pairs (Python 3.11.7, shared 2-core Xeon) the two cut the median
-pass time of fuse_mix by 10.9% and of the pipeline ladder by 6.4%, and
-raised the peak memory of fuse_mix by 2.2%.
+((u-1)(v-1))^2 entries, so it is never cleared.  a_fuse and comp_factors_a
+each count their class into one dict and wrap it without a copy.
 """
 
 from __future__ import annotations

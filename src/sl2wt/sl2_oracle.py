@@ -11,13 +11,26 @@ Matrix entries live in Q[w] (polynomials in the formal irrational w with
 Fraction coefficients), since a generic weight lam = a + b*w gets squared in
 the string coefficients.  Each window builds its e, f and h matrices once, on
 first use, as weighted shifts (a coefficient per index and an index shift).
-The bracket and Casimir checks compose those tables into the tables of ef,
-fe, he, ... and compare them entry by entry at every interior index; `act`
-applies a table to a vector, for the submodule witness.
+Every entry is computed from the integers of lam = (p + q*w)/d and
+C = (p_C + q_C*w)/d_C: an h entry is X/d and a string coefficient is
+N/(4d^2 d_C), for integer polynomials X = p + (2i + offset)*d + q*w and N,
+so each of its coefficients is one Fraction.  `act` applies a table to a vector, for the
+submodule witness.
+
+The bracket and Casimir checks run on Python ints.  At the first check the
+window clears denominators once per table: each table's entries, read from
+the matrices as they stand then, are multiplied by the lcm D of that table's
+denominators.  The checks compose these integer tables into the tables of ef,
+fe, he, ... and compare cross-multiplied relations at every interior index:
+[a, b] = s*c becomes (AB - BA)*D_c = s*C*D_a*D_b for the integer tables A, B,
+C, and the Casimir relation has every term scaled to one common denominator.
+reducibility_points scans the window on integers too and builds a Weight only
+for a hit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -32,25 +45,19 @@ MAX_WINDOW = 5000
 # Coefficients of 1, w, w^2, ...  Every poly this module builds or accepts is
 # trimmed: its last coefficient is nonzero, and 0 is the empty tuple.  The
 # helpers below rely on that: a product's top coefficient a_m * b_n is never 0
-# (Q has no zero divisors), and a sum can only cancel at the top when both
-# terms have the same length.
+# (Q and Z have no zero divisors), and a sum can only cancel at the top when
+# both terms have the same length.  They work unchanged on the int
+# coefficients of the integer tables.
 Poly = Tuple[Fraction, ...]
 
 _ZERO: Poly = ()
 _ONE: Poly = (Fraction(1),)  # up_coeff and down_coeff return this object, so _pmul tests identity
-_TWO: Poly = (Fraction(2),)
-_HALF = Fraction(1, 2)
 
 
 def _trim(cs: List[Fraction]) -> Poly:
     while cs and not cs[-1]:
         cs.pop()
     return tuple(cs)
-
-
-def _poly(x) -> Poly:
-    w = as_weight(x)
-    return _trim([w.a, w.b])
 
 
 def _shift(p: Poly, k: int) -> Poly:
@@ -150,6 +157,19 @@ def _compose(a: Table, b: Table) -> Table:
     return {i: _pmul(c, ta[i + sb]) for i, c in tb.items() if i + sb in ta}, sa + sb
 
 
+# A table times the lcm D of its denominators, as int polys, and D.
+Cleared = Tuple[Table, int]
+
+
+def _cleared(table: Table) -> Cleared:
+    """The table with its entries times the lcm D of their denominators, as
+    int polys, and D."""
+    entries, shift = table
+    den = math.lcm(*{c.denominator for p in entries.values() for c in p})
+    ints = {i: tuple([c.numerator * (den // c.denominator) for c in p]) for i, p in entries.items()}
+    return (ints, shift), den
+
+
 @dataclass(frozen=True)
 class RelaxedWindow:
     """The string module E^{sign}_{lam, C} restricted to indices [-N, N].
@@ -158,11 +178,16 @@ class RelaxedWindow:
     up with coefficient 1 and f shifts down with the string coefficient
     (C - (lam+2i-2)^2/2 - (lam+2i-2)) / 2; the plus model is the mirror with
     f shifting down by 1 and e carrying (C - (lam+2i+2)^2/2 + (lam+2i+2)) / 2.
-    Shift images falling outside the window are truncated, so only interior
-    indices support exact relations.  The relation checks compose the e, f
-    and h tables as operators and compare the products entry by entry on the
-    interior.  The constructor rejects a sign other than minus/plus and a
-    window outside [1, MAX_WINDOW].
+    The coefficients are computed from the integers of lam and C, one
+    Fraction per coefficient.  Shift images falling outside the window are
+    truncated, so only interior indices support exact relations.
+
+    The relation checks read an integer view of the e, f and h tables, built
+    from the matrices at the first check and kept: each table times the lcm
+    of its denominators.  They compose those tables as operators and compare
+    the cross-multiplied products entry by entry on the interior.  The
+    constructor rejects a sign other than minus/plus and a window outside
+    [1, MAX_WINDOW].
     """
 
     lam: Weight
@@ -174,31 +199,43 @@ class RelaxedWindow:
         _check_model(self.sign, self.window)
 
     @cached_property
-    def _lam_poly(self) -> Poly:
-        return _poly(self.lam)
-
-    @cached_property
-    def _casimir_poly(self) -> Poly:
-        return _poly(self.casimir)
+    def _string_ints(self) -> Tuple[int, int, int, int]:
+        """2d^2 p_C, 2d^2 q_C, -d_C q^2 and 4d^2 d_C, for lam = (p + q*w)/d
+        and C = (p_C + q_C*w)/d_C: the integers every string coefficient uses."""
+        d, q, c = self.lam.d, self.lam.q, self.casimir
+        return 2 * d * d * c.p, 2 * d * d * c.q, -c.d * q * q, 4 * d * d * c.d
 
     def _x(self, i: int, offset: int) -> Poly:
-        return _shift(self._lam_poly, 2 * i + offset)
+        """lam + 2i + offset."""
+        lam = self.lam
+        a = lam.p + (2 * i + offset) * lam.d
+        if lam.q:
+            return (Fraction(a, lam.d), lam.b)
+        return (Fraction(a, lam.d),) if a else _ZERO
+
+    def _string_coeff(self, a: int, s: int) -> Poly:
+        """(C - x^2/2 + s*x)/2 at x = (a + q*w)/d, as N/(4d^2 d_C) with
+        N = 2d^2 (p_C + q_C*w) - d_C X^2 + 2s d d_C X for X = a + q*w."""
+        q, d, dc = self.lam.q, self.lam.d, self.casimir.d
+        c0, c1, c2, den = self._string_ints
+        n0 = c0 + dc * a * (2 * s * d - a)
+        if q:  # the w^2 term -d_C q^2 is nonzero
+            return (Fraction(n0, den), Fraction(c1 + 2 * dc * q * (s * d - a), den), Fraction(c2, den))
+        if c1:
+            return (Fraction(n0, den), Fraction(c1, den))
+        return (Fraction(n0, den),) if n0 else _ZERO
 
     def up_coeff(self, i: int) -> Poly:
         """Coefficient of e: v_i -> v_{i+1}."""
         if self.sign == "minus":
             return _ONE
-        x = self._x(i, 2)
-        val = _psub(self._casimir_poly, _pscale(_pmul(x, x), _HALF))
-        return _pscale(_padd(val, x), _HALF)
+        return self._string_coeff(self.lam.p + (2 * i + 2) * self.lam.d, 1)
 
     def down_coeff(self, i: int) -> Poly:
         """Coefficient of f: v_i -> v_{i-1}."""
         if self.sign == "plus":
             return _ONE
-        x = self._x(i, -2)
-        val = _psub(self._casimir_poly, _pscale(_pmul(x, x), _HALF))
-        return _pscale(_psub(val, x), _HALF)
+        return self._string_coeff(self.lam.p + (2 * i - 2) * self.lam.d, -1)
 
     @cached_property
     def _matrices(self) -> Dict[str, Table]:
@@ -213,6 +250,12 @@ class RelaxedWindow:
             "e": ({i: self.up_coeff(i) for i in range(-n, n)}, 1),
             "f": ({i: self.down_coeff(i) for i in range(-n + 1, n + 1)}, -1),
         }
+
+    @cached_property
+    def _int_tables(self) -> Dict[str, Cleared]:
+        """Generator -> its table times the lcm D of the table's
+        denominators, and D; built from _matrices at the first check."""
+        return {gen: _cleared(table) for gen, table in self._matrices.items()}
 
     def act(self, gen: str, vec: Vec) -> Vec:
         if gen not in ("h", "e", "f"):
@@ -232,22 +275,24 @@ class RelaxedWindow:
     def interior(self) -> range:
         return range(-self.window + 1, self.window)
 
-    def _commutator_is(self, a: Table, b: Table, scale: int, c: Table) -> bool:
-        """[a, b] = scale * c on every interior index."""
-        ab, shift = _compose(a, b)
-        ba, _ = _compose(b, a)
-        if shift != c[1]:
+    def _commutator_is(self, a: Cleared, b: Cleared, scale: int, c: Cleared) -> bool:
+        """[a, b] = scale * c on every interior index, for integer tables
+        A = D_a a, B = D_b b, C = D_c c: (AB - BA) D_c = scale C D_a D_b."""
+        (ta, da), (tb, db), (tc, dc) = a, b, c
+        ab, shift = _compose(ta, tb)
+        ba, _ = _compose(tb, ta)
+        if shift != tc[1]:
             return False
-        target = c[0]
+        target = tc[0]
+        k = scale * da * db
         for i in self.interior():
-            expected = target[i] if scale == 1 else _pscale(target[i], scale)
-            if _psub(ab[i], ba[i]) != expected:
+            if _pscale(_psub(ab[i], ba[i]), dc) != _pscale(target[i], k):
                 return False
         return True
 
     def check_brackets(self) -> bool:
         """[e,f] = h, [h,e] = 2e, [h,f] = -2f on every interior index."""
-        m = self._matrices
+        m = self._int_tables
         h, e, f = m["h"], m["e"], m["f"]
         return (
             self._commutator_is(e, f, 1, h)
@@ -256,15 +301,22 @@ class RelaxedWindow:
         )
 
     def check_casimir(self) -> bool:
-        """2ef + h(h-2)/2 acts as the Casimir scalar on interior indices."""
-        m = self._matrices
-        h = m["h"][0]
-        ef, _ = _compose(m["e"], m["f"])
-        c = self._casimir_poly
+        """2ef + h(h-2)/2 acts as the Casimir scalar on interior indices.
+
+        On the integer tables E, F, H with lcms D_e, D_f, D_h and
+        C = (p_C + q_C*w)/d_C, times 2 D_e D_f D_h^2 d_C:
+        4 d_C D_h^2 EF + d_C D_e D_f H(H - 2 D_h) = 2 D_e D_f D_h^2 (p_C + q_C*w).
+        """
+        m = self._int_tables
+        (h, dh), (e, de), (f, df) = m["h"], m["e"], m["f"]
+        diag = h[0]
+        ef = _compose(e, f)[0]
+        c = self.casimir
+        k_ef, k_h = 4 * c.d * dh * dh, c.d * de * df
+        target = _pscale(_trim([c.p, c.q]), 2 * de * df * dh * dh)
         for i in self.interior():
-            x = h[i]
-            diag = _pscale(_pmul(x, _psub(x, _TWO)), _HALF)
-            if _padd(_pscale(ef[i], 2), diag) != c:
+            x = diag[i]
+            if _padd(_pscale(ef[i], k_ef), _pscale(_pmul(x, _shift(x, -2 * dh)), k_h)) != target:
                 return False
         return True
 
@@ -315,18 +367,25 @@ def reducibility_points(lam, casimir, sign: str, window: int) -> List[Weight]:
     """All mu in lam + 2Z inside the window with C = C_mu (minus) or C_{-mu} (plus).
 
     C_mu = mu^2/2 + mu.  An empty list certifies irreducibility over the window.
+    With lam = (p + q*w)/d and C = (p_C + q_C*w)/d_C, mu = lam + 2i is X/d for
+    X = p + 2id + q*w, and C = C_{+-mu} reads
+    d_C X^2 +- 2 d d_C X = 2d^2 (p_C + q_C*w).  A w-part in lam leaves
+    d_C q^2 w^2 on the left only, and a w-part in C is on the right only, so
+    either gives no point; otherwise the scan compares integers, in increasing
+    order of mu, and builds a Weight only for a hit.
     """
     _check_model(sign, window)
-    lam = as_weight(lam)
-    lam_poly, target = _poly(lam), _poly(casimir)
+    lam, casimir = as_weight(lam), as_weight(casimir)
+    if lam.q or casimir.q:
+        return []
+    p, d, dc = lam.p, lam.d, casimir.d
+    linear = 2 * d if sign == "minus" else -2 * d
+    target = 2 * d * d * casimir.p
     out: List[Weight] = []
-    for i in range(-window, window + 1):
-        mp = _shift(lam_poly, 2 * i)
-        c_mu = _pscale(_pmul(mp, mp), _HALF)
-        c_mu = _padd(c_mu, mp) if sign == "minus" else _psub(c_mu, mp)
-        if c_mu == target:
-            out.append(lam + 2 * i)
-    return sorted(out, key=lambda w: w.sort_key())
+    for x in range(p - 2 * window * d, p + 2 * window * d + 1, 2 * d):
+        if dc * x * (x + linear) == target:
+            out.append(Weight(x, 0, d))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -159,13 +159,15 @@ def contragredient(level: AdmissibleLevel, x: SimpleCLabel) -> SimpleCLabel:
 
 def contragredient_obj(level: AdmissibleLevel, x: "CObject") -> "CObject":
     """Contragredient of a catalogued object; E-strings dualize to the
-    Kac-mirrored string of the same kind, sigma^l(E+-_{r,s})' = sigma^(-l)(E+-_{u-r,v-s})."""
+    Kac-mirrored string of the same kind, sigma^l(E+-_{r,s})' = sigma^(-l)(E+-_{u-r,v-s}),
+    and the projective cover of x to the projective cover of x'."""
     if isinstance(x, DirectSum):
         return DirectSum(tuple(contragredient_obj(level, p) for p in x.parts))
     if x.tag == "simple":
         return simple(contragredient(level, x.layers[0][0]))
     if x.tag == "P":
-        raise TypeError(f"no catalogued contragredient for {x}")
+        top = contragredient(level, x.layers[0][0])
+        return projective(level, top.r, top.s, top.flow)
     return (eminus if x.tag == "E-" else eplus)(level, level.u - x.r, level.v - x.s, -x.flow)
 
 

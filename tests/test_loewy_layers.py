@@ -76,6 +76,23 @@ def test_contragredient_reverses_layers(layer_level):
     assert _layer_mismatches(objects, dual, lambda lbl: wc.contragredient(level, lbl)) == []
 
 
+def test_contragredient_reverses_the_layers_of_projectives(layer_level):
+    # P_x' is the projective cover of x': its top and socle are x', and its
+    # middle layer is the contragredients of P_x's middle layer
+    level = layer_level
+    projectives = [
+        wc.projective(level, r, s, flow) for r in range(1, level.u) for s in range(1, level.v) for flow in FLOWS
+    ]
+    dual = lambda x: wc.contragredient_obj(level, x)
+    assert _layer_mismatches(projectives, dual, lambda lbl: wc.contragredient(level, lbl)) == []
+    for x in projectives:
+        y = dual(x)
+        assert y.tag == "P" and y.layers[0] == (wc.contragredient(level, x.layers[0][0]),)
+        assert dual(y) == x
+    pair = wc.DirectSum(tuple(projectives[:2]))
+    assert dual(pair) == wc.DirectSum(tuple(dual(x) for x in projectives[:2]))
+
+
 def test_rigid_dual_reverses_layers(layer_level):
     level = layer_level
     objects = _a_objects(level)

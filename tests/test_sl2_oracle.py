@@ -420,3 +420,98 @@ def test_window_relations_and_points_property(lam, cas, sign, n, hit):
     assert win.check_brackets()
     assert win.check_casimir()
     assert reducibility_points(lam, cas, sign, n) == _expected_points(lam, cas, sign, n)
+
+
+# Integer relation checks.  The checks read each table times the lcm of its
+# denominators; these models give lam and C large coprime denominators, so
+# the e and f tables carry denominators up to 4 d^2 d_C.
+
+_BIG = 10**12
+# primes above 10^12: no denominator of a table divides by them, since those
+# are products of 4 and the denominators of lam and C
+_PRIMES = (1000000000039, 1000000000061, 1000000000063)
+
+
+@st.composite
+def _coprime_models(draw):
+    """(lam, C): Weights with coprime denominators up to 10^12, each with or
+    without a w-part."""
+    d = draw(st.integers(1, _BIG))
+    dc = draw(st.integers(1, _BIG).filter(lambda m: math.gcd(m, d) == 1))
+    num = st.integers(-_BIG, _BIG)
+    w_part = st.just(0) | num
+    return Weight(draw(num), draw(w_part), d), Weight(draw(num), draw(w_part), dc)
+
+
+def _tabled_string_coeffs(win):
+    return [c for gen in ("e", "f") for c in win._matrices[gen][0].values()]
+
+
+def _int_view_matches_matrices(win):
+    for gen, ((ints, shift), den) in win._int_tables.items():
+        entries, want_shift = win._matrices[gen]
+        assert shift == want_shift and ints.keys() == entries.keys()
+        for i, p in entries.items():
+            assert all(type(n) is int for n in ints[i])
+            assert tuple(F(n, den) for n in ints[i]) == p, (gen, i)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    model=_coprime_models(),
+    sign=st.sampled_from(["minus", "plus"]),
+    n=st.integers(1, 6),
+    gen=st.sampled_from(["e", "f", "h"]),
+    where=st.integers(0, 12),
+    prime=st.sampled_from(_PRIMES),
+)
+def test_integer_checks_match_reference_and_catch_a_small_corruption(model, sign, n, gen, where, prime):
+    lam, cas = model
+    win = build_relaxed(lam, cas, sign, n)
+    assert win.check_brackets() is reference_brackets(win) is True
+    assert win.check_casimir() is reference_casimir(win) is True
+    _int_view_matches_matrices(win)
+
+    # a +1/P on one tabled entry, patched before the first check builds the
+    # integer view; the read sets are those of the corruption test above
+    tabled = {"e": range(-n, n), "f": range(-n + 1, n + 1), "h": range(-n, n + 1)}
+    casimir_reads = {"e": range(-n, n - 1), "f": range(-n + 1, n), "h": range(-n + 1, n)}
+    at = tabled[gen][where % len(tabled[gen])]
+    bad = build_relaxed(lam, cas, sign, n)
+    table = bad._matrices[gen][0]
+    assert all(c.denominator % prime for p in table.values() for c in p)
+    table[at] = so._padd(table[at], (F(1, prime),))
+    brackets, casimir = bad.check_brackets(), bad.check_casimir()
+    assert brackets is reference_brackets(bad)
+    assert casimir is reference_casimir(bad)
+    _int_view_matches_matrices(bad)
+    if all(_tabled_string_coeffs(win)):
+        # no string coefficient vanishes, so none hides the corruption
+        assert brackets is False
+        assert casimir is (at not in casimir_reads[gen])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lam=st.builds(F, st.integers(-_BIG, _BIG), st.integers(1, _BIG)),
+    sign=st.sampled_from(["minus", "plus"]),
+    n=st.integers(1, 6) | st.sampled_from([200, so.MAX_WINDOW]),
+    edge=st.sampled_from(["-N-1", "-N", "N", "N+1"]),
+    w_part=st.sampled_from([None, "lam", "C"]),
+    b=st.builds(F, st.integers(-_BIG, _BIG).filter(bool), st.integers(1, _BIG)),
+)
+def test_integer_scan_finds_roots_at_the_window_edges(lam, sign, n, edge, w_part, b):
+    steps = {"-N-1": -n - 1, "-N": -n, "N": n, "N+1": n + 1}[edge]
+    x = lam + 2 * steps
+    cas = wt(c_mu(x) if sign == "minus" else x * x / 2 - x)
+    lam = wt(lam)
+    if w_part == "lam":
+        lam = wt(lam.a, b)
+    elif w_part == "C":
+        cas = wt(cas.a, b)
+    points = reducibility_points(lam, cas, sign, n)
+    assert points == _expected_points(lam, cas, sign, n)
+    if w_part is None:
+        assert (wt(x) in points) is (abs(steps) <= n)
+    else:
+        assert points == []
