@@ -2,59 +2,57 @@
 depth-1 affine vectors.
 
 These realizations are deliberately independent of the label bookkeeping in
-the rest of the package: they build explicit matrices / bracket tables and
-check relations coefficient by coefficient, so they serve as the oracle for
+the rest of the package: they build explicit bracket tables and check
+relations coefficient by coefficient, so they serve as the oracle for
 reducibility points, exact-sequence witnesses, and the depth-1 singular
 vector that drives the explicit fusion computation.
 
-Matrix entries live in Q[w] (polynomials in the formal irrational w with
-Fraction coefficients), since a generic weight lam = a + b*w gets squared in
-the string coefficients.  Each window builds its e, f and h matrices once, on
-first use, as weighted shifts (a coefficient per index and an index shift).
-Every entry is computed from the integers of lam = (p + q*w)/d and
-C = (p_C + q_C*w)/d_C: an h entry is X/d and a string coefficient is
-N/(4d^2 d_C), for integer polynomials X = p + (2i + offset)*d + q*w and N,
-so each of its coefficients is one Fraction.  `act` applies a table to a vector, for the
-submodule witness.
+e, f and h act on a window by weighted shifts (a coefficient per index and
+an index shift) with coefficients in Q[w], w the formal irrational, since a
+generic weight lam = a + b*w gets squared in the string coefficients.  Each
+window builds one table per generator, once, on first use: int polynomials
+over one denominator D per table, read off the integers of
+lam = (p + q*w)/d and C = (p_C + q_C*w)/d_C.  An h entry is
+X = p + 2id + q*w over D = d, a string coefficient is an integer polynomial
+N over D = 4d^2 d_C, and the unit side is 1 over D = 1.
 
-The bracket and Casimir checks run on Python ints.  At the first check the
-window clears denominators once per table: each table's entries, read from
-the matrices as they stand then, are multiplied by the lcm D of that table's
-denominators.  The checks compose these integer tables into the tables of ef,
+The bracket and Casimir checks compose these tables into the tables of ef,
 fe, he, ... and compare cross-multiplied relations at every interior index:
-[a, b] = s*c becomes (AB - BA)*D_c = s*C*D_a*D_b for the integer tables A, B,
-C, and the Casimir relation has every term scaled to one common denominator.
-reducibility_points scans the window on integers too and builds a Weight only
-for a hit.
+[a, b] = s*c becomes (AB - BA)*D_c = s*C*D_a*D_b for the int tables A, B, C,
+and the Casimir relation has every term scaled to one common denominator.
+`act` applies a table to a vector and divides each output coefficient by D,
+for the submodule witness.  reducibility_points scans the window on integers
+too and builds a Weight only for a hit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from numbers import Rational
 from typing import Dict, Iterable, List, Tuple
 
 from .arithmetic import AdmissibleLevel, Weight, as_weight, lam_rs
 
 # Largest window N accepted by RelaxedWindow and reducibility_points.  The
-# matrices of a window hold 6N + 1 entries, so memory grows with N as time does.
+# tables of a window hold 6N + 1 entries, so memory grows with N as time does.
 MAX_WINDOW = 5000
 
-# Coefficients of 1, w, w^2, ...  Every poly this module builds or accepts is
-# trimmed: its last coefficient is nonzero, and 0 is the empty tuple.  The
-# helpers below rely on that: a product's top coefficient a_m * b_n is never 0
-# (Q and Z have no zero divisors), and a sum can only cancel at the top when
-# both terms have the same length.  They work unchanged on the int
-# coefficients of the integer tables.
-Poly = Tuple[Fraction, ...]
+# Coefficients of 1, w, w^2, ...: ints in the tables and the checks,
+# Fractions in the values that act, _x, up_coeff and down_coeff return.
+# Every poly this module builds or accepts is trimmed: its last coefficient
+# is nonzero, and 0 is the empty tuple.  The helpers below rely on that: a
+# product's top coefficient a_m * b_n is never 0 (Z and Q have no zero
+# divisors), and a sum can only cancel at the top when both terms have the
+# same length.
+Poly = Tuple[Rational, ...]
 
 _ZERO: Poly = ()
-_ONE: Poly = (Fraction(1),)  # up_coeff and down_coeff return this object, so _pmul tests identity
+_ONE: Poly = (1,)  # the unit side's entries are this object, so _pmul tests identity
 
 
-def _trim(cs: List[Fraction]) -> Poly:
+def _trim(cs: List[Rational]) -> Poly:
     while cs and not cs[-1]:
         cs.pop()
     return tuple(cs)
@@ -63,7 +61,7 @@ def _trim(cs: List[Fraction]) -> Poly:
 def _shift(p: Poly, k: int) -> Poly:
     """p + k for an integer k."""
     if not p:
-        return (Fraction(k),) if k else _ZERO
+        return (k,) if k else _ZERO
     c = p[0] + k
     if len(p) > 1:
         return (c, *p[1:])
@@ -144,30 +142,22 @@ def _pscale(p: Poly, c) -> Poly:
 
 Vec = Dict[int, Poly]  # window vector: index i -> coefficient of v_{lam+2i}
 
-# A weighted shift: the coefficient at each window index it acts on, and the
-# index shift.  It sends v_i to table[i] * v_{i + shift}; an index without an
-# entry is sent to 0.
-Table = Tuple[Dict[int, Poly], int]
+# A weighted shift over one denominator D: the int poly D*c_i at each window
+# index i it acts on, the index shift, and D.  It sends v_i to
+# c_i * v_{i + shift}; an index without an entry is sent to 0.
+Table = Tuple[Dict[int, Poly], int, int]
 
 
 def _compose(a: Table, b: Table) -> Table:
-    """The weighted shift a∘b (b first): (a∘b)[i] = b[i]·a[i + shift_b]."""
-    ta, sa = a
-    tb, sb = b
-    return {i: _pmul(c, ta[i + sb]) for i, c in tb.items() if i + sb in ta}, sa + sb
+    """The weighted shift a∘b (b first) over D_a D_b: (a∘b)[i] = b[i]·a[i + shift_b]."""
+    ta, sa, da = a
+    tb, sb, db = b
+    return {i: _pmul(c, ta[i + sb]) for i, c in tb.items() if i + sb in ta}, sa + sb, da * db
 
 
-# A table times the lcm D of its denominators, as int polys, and D.
-Cleared = Tuple[Table, int]
-
-
-def _cleared(table: Table) -> Cleared:
-    """The table with its entries times the lcm D of their denominators, as
-    int polys, and D."""
-    entries, shift = table
-    den = math.lcm(*{c.denominator for p in entries.values() for c in p})
-    ints = {i: tuple([c.numerator * (den // c.denominator) for c in p]) for i, p in entries.items()}
-    return (ints, shift), den
+def _over(p: Poly, den: int) -> Poly:
+    """p / den, with Fraction coefficients."""
+    return tuple([Fraction(c, den) for c in p])
 
 
 @dataclass(frozen=True)
@@ -178,15 +168,17 @@ class RelaxedWindow:
     up with coefficient 1 and f shifts down with the string coefficient
     (C - (lam+2i-2)^2/2 - (lam+2i-2)) / 2; the plus model is the mirror with
     f shifting down by 1 and e carrying (C - (lam+2i+2)^2/2 + (lam+2i+2)) / 2.
-    The coefficients are computed from the integers of lam and C, one
-    Fraction per coefficient.  Shift images falling outside the window are
-    truncated, so only interior indices support exact relations.
+    Shift images falling outside the window are truncated, so only interior
+    indices support exact relations.
 
-    The relation checks read an integer view of the e, f and h tables, built
-    from the matrices at the first check and kept: each table times the lcm
-    of its denominators.  They compose those tables as operators and compare
-    the cross-multiplied products entry by entry on the interior.  The
-    constructor rejects a sign other than minus/plus and a window outside
+    The window builds one table per generator at its first check or act and
+    keeps it: int entries over the table's denominator D, which is d for h,
+    4d^2 d_C for the string side and 1 for the unit side.  The relation
+    checks compose those tables as operators and compare the
+    cross-multiplied products entry by entry on the interior.  _x, up_coeff
+    and down_coeff give the exact value of one entry, computed per call from
+    the same integers.  The constructor rejects a lam or C that is not a
+    Weight, a sign other than minus/plus and a window outside
     [1, MAX_WINDOW].
     """
 
@@ -196,6 +188,9 @@ class RelaxedWindow:
     window: int
 
     def __post_init__(self) -> None:
+        for name, value in (("lam", self.lam), ("casimir", self.casimir)):
+            if not isinstance(value, Weight):
+                raise TypeError(f"{name} must be a Weight, got {value!r}")
         _check_model(self.sign, self.window)
 
     @cached_property
@@ -205,86 +200,90 @@ class RelaxedWindow:
         d, q, c = self.lam.d, self.lam.q, self.casimir
         return 2 * d * d * c.p, 2 * d * d * c.q, -c.d * q * q, 4 * d * d * c.d
 
-    def _x(self, i: int, offset: int) -> Poly:
-        """lam + 2i + offset."""
-        lam = self.lam
-        a = lam.p + (2 * i + offset) * lam.d
-        if lam.q:
-            return (Fraction(a, lam.d), lam.b)
-        return (Fraction(a, lam.d),) if a else _ZERO
-
     def _string_coeff(self, a: int, s: int) -> Poly:
-        """(C - x^2/2 + s*x)/2 at x = (a + q*w)/d, as N/(4d^2 d_C) with
-        N = 2d^2 (p_C + q_C*w) - d_C X^2 + 2s d d_C X for X = a + q*w."""
+        """N = 2d^2 (p_C + q_C*w) - d_C X^2 + 2s d d_C X for X = a + q*w:
+        (C - x^2/2 + s*x)/2 at x = X/d, times 4d^2 d_C."""
         q, d, dc = self.lam.q, self.lam.d, self.casimir.d
-        c0, c1, c2, den = self._string_ints
+        c0, c1, c2, _ = self._string_ints
         n0 = c0 + dc * a * (2 * s * d - a)
         if q:  # the w^2 term -d_C q^2 is nonzero
-            return (Fraction(n0, den), Fraction(c1 + 2 * dc * q * (s * d - a), den), Fraction(c2, den))
+            return (n0, c1 + 2 * dc * q * (s * d - a), c2)
         if c1:
-            return (Fraction(n0, den), Fraction(c1, den))
-        return (Fraction(n0, den),) if n0 else _ZERO
+            return (n0, c1)
+        return (n0,) if n0 else _ZERO
+
+    def _den(self, gen: str) -> int:
+        """The denominator D of gen's table."""
+        if gen == "h":
+            return self.lam.d
+        return 1 if (gen == "e") == (self.sign == "minus") else self._string_ints[3]
+
+    def _entry(self, gen: str, i: int) -> Poly:
+        """The coefficient of gen at index i times D = _den(gen): X = p + 2id
+        + q*w for h, N of _string_coeff for the string side, and 1 for the
+        unit side (e in the minus model, f in the plus model)."""
+        lam = self.lam
+        if gen == "h":
+            a = lam.p + 2 * i * lam.d
+            if lam.q:
+                return (a, lam.q)
+            return (a,) if a else _ZERO
+        if (gen == "e") == (self.sign == "minus"):
+            return _ONE
+        s = 1 if gen == "e" else -1
+        return self._string_coeff(lam.p + 2 * (i + s) * lam.d, s)
+
+    def _x(self, i: int) -> Poly:
+        """lam + 2i."""
+        return _over(self._entry("h", i), self.lam.d)
 
     def up_coeff(self, i: int) -> Poly:
         """Coefficient of e: v_i -> v_{i+1}."""
-        if self.sign == "minus":
-            return _ONE
-        return self._string_coeff(self.lam.p + (2 * i + 2) * self.lam.d, 1)
+        return _over(self._entry("e", i), self._den("e"))
 
     def down_coeff(self, i: int) -> Poly:
         """Coefficient of f: v_i -> v_{i-1}."""
-        if self.sign == "plus":
-            return _ONE
-        return self._string_coeff(self.lam.p + (2 * i - 2) * self.lam.d, -1)
+        return _over(self._entry("f", i), self._den("f"))
 
     @cached_property
-    def _matrices(self) -> Dict[str, Table]:
-        """Generator -> its weighted shift.
-
-        e has no entry at N and f none at -N: their images would leave the
-        window, so a missing entry is the truncation.
-        """
+    def _tables(self) -> Dict[str, Table]:
+        """Generator -> its table.  e has no entry at N and f none at -N:
+        their images would leave the window, so a missing entry is the
+        truncation."""
         n = self.window
+        spans = {"h": (range(-n, n + 1), 0), "e": (range(-n, n), 1), "f": (range(-n + 1, n + 1), -1)}
         return {
-            "h": ({i: self._x(i, 0) for i in range(-n, n + 1)}, 0),
-            "e": ({i: self.up_coeff(i) for i in range(-n, n)}, 1),
-            "f": ({i: self.down_coeff(i) for i in range(-n + 1, n + 1)}, -1),
+            gen: ({i: self._entry(gen, i) for i in span}, shift, self._den(gen))
+            for gen, (span, shift) in spans.items()
         }
-
-    @cached_property
-    def _int_tables(self) -> Dict[str, Cleared]:
-        """Generator -> its table times the lcm D of the table's
-        denominators, and D; built from _matrices at the first check."""
-        return {gen: _cleared(table) for gen, table in self._matrices.items()}
 
     def act(self, gen: str, vec: Vec) -> Vec:
         if gen not in ("h", "e", "f"):
             raise ValueError(f"unknown generator {gen!r}")
-        matrix, shift = self._matrices[gen]
+        entries, shift, den = self._tables[gen]
         out: Vec = {}
         for i, p in vec.items():
-            c = matrix.get(i)
+            c = entries.get(i)
             if c is None:
                 continue
             q = _pmul(p, c)
             if q:
                 j = i + shift
                 out[j] = _padd(out.get(j, _ZERO), q)
-        return {i: p for i, p in out.items() if p}
+        return {i: _over(p, den) for i, p in out.items() if p}
 
     def interior(self) -> range:
         return range(-self.window + 1, self.window)
 
-    def _commutator_is(self, a: Cleared, b: Cleared, scale: int, c: Cleared) -> bool:
-        """[a, b] = scale * c on every interior index, for integer tables
-        A = D_a a, B = D_b b, C = D_c c: (AB - BA) D_c = scale C D_a D_b."""
-        (ta, da), (tb, db), (tc, dc) = a, b, c
-        ab, shift = _compose(ta, tb)
-        ba, _ = _compose(tb, ta)
-        if shift != tc[1]:
+    def _commutator_is(self, a: Table, b: Table, scale: int, c: Table) -> bool:
+        """[a, b] = scale * c on every interior index, for the int tables
+        A, B, C over D_a, D_b, D_c: (AB - BA) D_c = scale C D_a D_b."""
+        ab, shift, dab = _compose(a, b)
+        ba = _compose(b, a)[0]
+        target, target_shift, dc = c
+        if shift != target_shift:
             return False
-        target = tc[0]
-        k = scale * da * db
+        k = scale * dab
         for i in self.interior():
             if _pscale(_psub(ab[i], ba[i]), dc) != _pscale(target[i], k):
                 return False
@@ -292,8 +291,8 @@ class RelaxedWindow:
 
     def check_brackets(self) -> bool:
         """[e,f] = h, [h,e] = 2e, [h,f] = -2f on every interior index."""
-        m = self._int_tables
-        h, e, f = m["h"], m["e"], m["f"]
+        t = self._tables
+        h, e, f = t["h"], t["e"], t["f"]
         return (
             self._commutator_is(e, f, 1, h)
             and self._commutator_is(h, e, 2, e)
@@ -303,14 +302,13 @@ class RelaxedWindow:
     def check_casimir(self) -> bool:
         """2ef + h(h-2)/2 acts as the Casimir scalar on interior indices.
 
-        On the integer tables E, F, H with lcms D_e, D_f, D_h and
+        On the int tables E, F, H over D_e, D_f, D_h and
         C = (p_C + q_C*w)/d_C, times 2 D_e D_f D_h^2 d_C:
         4 d_C D_h^2 EF + d_C D_e D_f H(H - 2 D_h) = 2 D_e D_f D_h^2 (p_C + q_C*w).
         """
-        m = self._int_tables
-        (h, dh), (e, de), (f, df) = m["h"], m["e"], m["f"]
-        diag = h[0]
-        ef = _compose(e, f)[0]
+        t = self._tables
+        (diag, _, dh), (_, _, de), (_, _, df) = t["h"], t["e"], t["f"]
+        ef = _compose(t["e"], t["f"])[0]
         c = self.casimir
         k_ef, k_h = 4 * c.d * dh * dh, c.d * de * df
         target = _pscale(_trim([c.p, c.q]), 2 * de * df * dh * dh)

@@ -136,27 +136,59 @@ def test_invalid_model_is_rejected(args):
         so.RelaxedWindow(wt(lam), wt(cas), sign, window)
 
 
+@pytest.mark.parametrize(
+    "lam, cas, field",
+    [(F(1, 3), wt(0), "lam"), (wt(1), 0, "casimir"), (0, F(2, 5), "lam")],
+)
+def test_relaxed_window_refuses_a_non_weight(lam, cas, field):
+    with pytest.raises(TypeError, match=field):
+        RelaxedWindow(lam, cas, "minus", 3)
+    # build_relaxed coerces the same values
+    assert build_relaxed(lam, cas, "minus", 3).check_brackets()
+
+
 def test_act_rejects_unknown_generator():
     with pytest.raises(ValueError):
         build_relaxed(0, 0, "minus", 3).act("x", {})
 
 
+def _corrupt(win, gen, at):
+    """Add 1 to the coefficient of gen at index at: D to its int entry, or an
+    entry D where the table has none."""
+    entries, _, den = win._tables[gen]
+    entries[at] = so._shift(entries.get(at, ()), den)
+
+
 @pytest.mark.parametrize("sign", ["minus", "plus"])
 @pytest.mark.parametrize("coeff", ["up_coeff", "down_coeff"])
-def test_corrupted_matrix_entry_fails_both_checks(monkeypatch, sign, coeff):
-    # negative control: a +1 on one matrix entry at index 0.  The models are
-    # generic, so no string coefficient next to index 0 vanishes and hides it.
-    honest = getattr(RelaxedWindow, coeff)
-
-    def corrupted(self, i):
-        c = honest(self, i)
-        return so._padd(c, so._ONE) if i == 0 else c
-
-    monkeypatch.setattr(RelaxedWindow, coeff, corrupted)
+def test_corrupted_matrix_entry_fails_both_checks(sign, coeff):
+    # negative control: a +1 on the e (up_coeff) or f (down_coeff) entry at
+    # index 0.  The models are generic, so no string coefficient next to
+    # index 0 vanishes and hides it.
+    gen = {"up_coeff": "e", "down_coeff": "f"}[coeff]
     for lam, cas in ((F(1, 3), F(-2, 5)), (F(-3), F(7, 2)), (wt(F(1, 2), 1), wt(3, F(1, 4)))):
         win = build_relaxed(lam, cas, sign, 4)
+        _corrupt(win, gen, 0)
         assert not win.check_brackets()
         assert not win.check_casimir()
+
+
+@pytest.mark.parametrize("sign", ["minus", "plus"])
+def test_checks_build_no_fraction(monkeypatch, sign):
+    # rational, w-generic, and reducible (lam = 0, C = 0: h vanishes at 0)
+    models = ((F(1, 3), F(-2, 5)), (wt(F(1, 2), 1), wt(3, F(1, 4))), (0, 0))
+    windows = [build_relaxed(lam, cas, sign, 5) for lam, cas in models]
+
+    def no_fraction(*args):
+        raise AssertionError(f"Fraction{args} on the check path")
+
+    monkeypatch.setattr(so, "Fraction", no_fraction)
+    for win in windows:
+        assert win.check_brackets()
+        assert win.check_casimir()
+        for entries, _, den in win._tables.values():
+            assert type(den) is int
+            assert all(type(c) is int for p in entries.values() for c in p)
 
 
 # Reference for act: each coefficient computed from _x, up_coeff and
@@ -198,7 +230,7 @@ def reference_act(win, gen, vec):
     n = win.window
     for i, p in vec.items():
         if gen == "h":
-            image = [(i, _ref_mul(p, win._x(i, 0)))]
+            image = [(i, _ref_mul(p, win._x(i)))]
         elif gen == "e":
             image = [(i + 1, _ref_mul(p, win.up_coeff(i)))] if i + 1 <= n else []
         else:
@@ -241,45 +273,64 @@ def reference_casimir(win):
     return True
 
 
-_coef = st.fractions(min_value=-4, max_value=4, max_denominator=4)
-_trimmed = st.just(()) | st.builds(lambda low, top: (*low, top), st.lists(_coef, max_size=2), _coef.filter(bool))
+_coefs = {
+    int: st.integers(-4, 4),
+    F: st.fractions(min_value=-4, max_value=4, max_denominator=4),
+}
+
+
+def _trimmed(coef):
+    return st.just(()) | st.builds(lambda low, top: (*low, top), st.lists(coef, max_size=2), coef.filter(bool))
 
 
 @st.composite
-def _poly_pairs(draw):
-    """(p, q) trimmed, of length 0 to 3.  q is often built so that the top
-    terms cancel in p + q or in p - q, or is the unit: the module's _ONE or
-    an equal tuple of its own."""
-    p = draw(_trimmed)
+def _poly_pairs(draw, kind):
+    """(p, q) trimmed, of length 0 to 3, with coefficients of type kind.  q
+    is often built so that the top terms cancel in p + q or in p - q, or is
+    the unit: the module's int _ONE or an equal tuple of its own."""
+    coef = _coefs[kind]
+    p = draw(_trimmed(coef))
     how = draw(st.sampled_from(["any", "add_cancels", "sub_cancels", "one", "one_copy"]))
     if how == "one":
         q = so._ONE
     elif how == "one_copy":
-        q = tuple([F(1)])
+        q = tuple([kind(1)])
         assert q == so._ONE and q is not so._ONE
     elif how == "any" or not p:
-        q = draw(_trimmed)
+        q = draw(_trimmed(coef))
     else:
-        low = draw(st.lists(_coef, min_size=len(p) - 1, max_size=len(p) - 1))
+        low = draw(st.lists(coef, min_size=len(p) - 1, max_size=len(p) - 1))
         q = (*low, -p[-1] if how == "add_cancels" else p[-1])
     return (q, p) if draw(st.booleans()) else (p, q)
 
 
+def _coef_type(*polys):
+    """Fraction if any coefficient of the operands is one, else int."""
+    return F if any(type(a) is F for p in polys for a in p) else int
+
+
 @settings(max_examples=400, deadline=None)
-@given(pair=_poly_pairs(), k=st.integers(-3, 3), c=st.integers(-2, 2) | _coef, m=st.integers(-3, 3))
-def test_poly_helpers_match_reference_arithmetic(pair, k, c, m):
+@given(
+    pair=st.sampled_from([int, F]).flatmap(_poly_pairs),
+    r=_trimmed(_coefs[int]),
+    k=st.integers(-3, 3),
+    c=st.integers(-2, 2) | _coefs[F],
+    m=st.integers(-3, 3),
+)
+def test_poly_helpers_match_reference_arithmetic(pair, r, k, c, m):
+    # _shift only ever gets int polys, the h entries of the Casimir check
     p, q = pair
     results = [
-        (so._padd(p, q), _ref_add(p, q)),
-        (so._psub(p, q), _ref_sub(p, q)),
-        (so._pmul(p, q), _ref_mul(p, q)),
-        (so._shift(p, k), _ref_add(p, (F(k),))),
-        (so._pscale(p, c), _ref_scale(p, c)),
-        (so._shift((F(m),) if m else (), -m), ()),  # a shift to zero
+        (so._padd(p, q), _ref_add(p, q), (p, q)),
+        (so._psub(p, q), _ref_sub(p, q), (p, q)),
+        (so._pmul(p, q), _ref_mul(p, q), (p, q)),
+        (so._shift(r, k), _ref_add(r, (k,)), (r,)),
+        (so._pscale(p, c), _ref_scale(p, c), (p, (c,))),
+        (so._shift((m,) if m else (), -m), (), ()),  # a shift to zero
     ]
-    for got, want in results:
-        assert got == want, (p, q, k, c, m)
-        assert type(got) is tuple and all(type(a) is F for a in got)
+    for got, want, operands in results:
+        assert got == want, (p, q, r, k, c, m)
+        assert type(got) is tuple and all(type(a) is _coef_type(*operands) for a in got)
         assert not got or got[-1] != 0
 
 
@@ -307,45 +358,38 @@ def test_table_checks_match_act_reference_on_honest_models():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("sign", ["minus", "plus"])
-def test_table_checks_catch_a_corrupted_entry_at_every_index(monkeypatch, sign, n):
+def test_table_checks_catch_a_corrupted_entry_at_every_index(sign, n):
     # A +1 on one entry at each index of [-N, N].  Brackets read every table
     # entry; the Casimir check reads e on [-N, N-2], f on [-N+1, N-1] and h
-    # on the interior.  up_coeff(N) and down_coeff(-N) are never tabled.
-    casimir_reads = {"up_coeff": range(-n, n - 1), "down_coeff": range(-n + 1, n), "h": range(-n + 1, n)}
-    tabled = {"up_coeff": range(-n, n), "down_coeff": range(-n + 1, n + 1), "h": range(-n, n + 1)}
+    # on the interior.  e at N and f at -N are never tabled, and an entry
+    # put there is never read.
+    casimir_reads = {"e": range(-n, n - 1), "f": range(-n + 1, n), "h": range(-n + 1, n)}
+    tabled = {"e": range(-n, n), "f": range(-n + 1, n + 1), "h": range(-n, n + 1)}
     for lam, cas in _GENERIC:
-        for kind in ("up_coeff", "down_coeff", "h"):
+        for gen in ("e", "f", "h"):
             for at in range(-n, n + 1):
-                if kind == "h":
-                    win = build_relaxed(lam, cas, sign, n)
-                    table = win._matrices["h"][0]  # patched after the tables are built
-                    table[at] = so._padd(table[at], so._ONE)
-                else:
-                    honest = getattr(RelaxedWindow, kind)
-
-                    def corrupted(self, i, honest=honest, at=at):
-                        c = honest(self, i)
-                        return so._padd(c, so._ONE) if i == at else c
-
-                    monkeypatch.setattr(RelaxedWindow, kind, corrupted)
-                    win = build_relaxed(lam, cas, sign, n)
-                case = (lam, cas, kind, at)
+                win = build_relaxed(lam, cas, sign, n)
+                assert set(win._tables[gen][0]) == set(tabled[gen])
+                _corrupt(win, gen, at)
+                case = (lam, cas, gen, at)
                 brackets, casimir = win.check_brackets(), win.check_casimir()
-                assert brackets is reference_brackets(win) is (at not in tabled[kind]), case
-                assert casimir is reference_casimir(win) is (at not in casimir_reads[kind]), case
-                monkeypatch.undo()
+                assert brackets is reference_brackets(win) is (at not in tabled[gen]), case
+                assert casimir is reference_casimir(win) is (at not in casimir_reads[gen]), case
 
 
 def test_h_table_is_trimmed_and_exact():
-    # lam + 2i = 0 must be the zero polynomial, not (Fraction(0),)
-    for lam in (0, -4, wt(0, 1)):
+    # lam + 2i = 0 must be the zero polynomial, not (0,)
+    for lam in (0, -4, wt(0, 1), F(-7, 3), wt(F(1, 3), F(-1, 2))):
         win = build_relaxed(lam, 0, "minus", 3)
-        table = win._matrices["h"][0]
-        assert all(not p or p[-1] != 0 for p in table.values())
-        assert all(type(c) is F for p in table.values() for c in p)
-    assert build_relaxed(0, 0, "minus", 3)._matrices["h"][0][0] == ()
-    assert build_relaxed(-4, 0, "minus", 3)._matrices["h"][0][2] == ()
-    assert build_relaxed(wt(0, 1), 0, "minus", 3)._matrices["h"][0][0] == (F(0), F(1))
+        entries, shift, den = win._tables["h"]
+        assert shift == 0 and den == win.lam.d
+        for i, p in entries.items():
+            assert not p or p[-1] != 0
+            assert all(type(c) is int for c in p)
+            assert tuple(F(c, den) for c in p) == win._x(i) == _ref_add((win.lam.a, win.lam.b), (F(2 * i),))
+    assert build_relaxed(0, 0, "minus", 3)._tables["h"][0][0] == ()
+    assert build_relaxed(-4, 0, "minus", 3)._tables["h"][0][2] == ()
+    assert build_relaxed(wt(0, 1), 0, "minus", 3)._tables["h"][0][0] == (0, 1)
 
 
 def _random_poly(r):
@@ -422,14 +466,11 @@ def test_window_relations_and_points_property(lam, cas, sign, n, hit):
     assert reducibility_points(lam, cas, sign, n) == _expected_points(lam, cas, sign, n)
 
 
-# Integer relation checks.  The checks read each table times the lcm of its
-# denominators; these models give lam and C large coprime denominators, so
-# the e and f tables carry denominators up to 4 d^2 d_C.
+# Integer relation checks.  Each table holds int entries over one
+# denominator D; these models give lam and C large coprime denominators, so
+# the string side has D = 4 d^2 d_C up to 4 * 10^36.
 
 _BIG = 10**12
-# primes above 10^12: no denominator of a table divides by them, since those
-# are products of 4 and the denominators of lam and C
-_PRIMES = (1000000000039, 1000000000061, 1000000000063)
 
 
 @st.composite
@@ -444,16 +485,33 @@ def _coprime_models(draw):
 
 
 def _tabled_string_coeffs(win):
-    return [c for gen in ("e", "f") for c in win._matrices[gen][0].values()]
+    return [c for gen in ("e", "f") for c in win._tables[gen][0].values()]
 
 
-def _int_view_matches_matrices(win):
-    for gen, ((ints, shift), den) in win._int_tables.items():
-        entries, want_shift = win._matrices[gen]
-        assert shift == want_shift and ints.keys() == entries.keys()
+def _ref_value(win, gen, i):
+    """The coefficient of gen at index i from lam and C by Fraction
+    arithmetic: lam + 2i for h, 1 on the unit side, and (C - x^2/2 + s*x)/2
+    at x = lam + 2i + 2s on the string side, s = 1 for e and -1 for f."""
+    lam = (win.lam.a, win.lam.b)
+    if gen == "h":
+        return _ref_add(lam, (F(2 * i),))
+    if (gen == "e") == (win.sign == "minus"):
+        return (F(1),)
+    s = 1 if gen == "e" else -1
+    x = _ref_add(lam, (F(2 * i + 2 * s),))
+    c = _ref_sub((win.casimir.a, win.casimir.b), _ref_scale(_ref_mul(x, x), F(1, 2)))
+    return _ref_scale(_ref_add(c, _ref_scale(x, s)), F(1, 2))
+
+
+def _tables_match_per_call_values(win):
+    """Every table entry is an int poly whose value over its D is the
+    per-call _x, up_coeff or down_coeff, and that is the Fraction value."""
+    per_call = {"h": win._x, "e": win.up_coeff, "f": win.down_coeff}
+    for gen, (entries, shift, den) in win._tables.items():
+        assert shift == {"h": 0, "e": 1, "f": -1}[gen]
         for i, p in entries.items():
-            assert all(type(n) is int for n in ints[i])
-            assert tuple(F(n, den) for n in ints[i]) == p, (gen, i)
+            assert all(type(n) is int for n in p) and (not p or p[-1])
+            assert tuple(F(n, den) for n in p) == per_call[gen](i) == _ref_value(win, gen, i), (gen, i)
 
 
 @settings(max_examples=150, deadline=None)
@@ -463,28 +521,25 @@ def _int_view_matches_matrices(win):
     n=st.integers(1, 6),
     gen=st.sampled_from(["e", "f", "h"]),
     where=st.integers(0, 12),
-    prime=st.sampled_from(_PRIMES),
 )
-def test_integer_checks_match_reference_and_catch_a_small_corruption(model, sign, n, gen, where, prime):
+def test_integer_checks_match_reference_and_catch_a_small_corruption(model, sign, n, gen, where):
     lam, cas = model
     win = build_relaxed(lam, cas, sign, n)
     assert win.check_brackets() is reference_brackets(win) is True
     assert win.check_casimir() is reference_casimir(win) is True
-    _int_view_matches_matrices(win)
+    _tables_match_per_call_values(win)
 
-    # a +1/P on one tabled entry, patched before the first check builds the
-    # integer view; the read sets are those of the corruption test above
+    # a +1 on one numerator, +1/D in value; the read sets are those of the
+    # corruption test above
     tabled = {"e": range(-n, n), "f": range(-n + 1, n + 1), "h": range(-n, n + 1)}
     casimir_reads = {"e": range(-n, n - 1), "f": range(-n + 1, n), "h": range(-n + 1, n)}
     at = tabled[gen][where % len(tabled[gen])]
     bad = build_relaxed(lam, cas, sign, n)
-    table = bad._matrices[gen][0]
-    assert all(c.denominator % prime for p in table.values() for c in p)
-    table[at] = so._padd(table[at], (F(1, prime),))
+    entries = bad._tables[gen][0]
+    entries[at] = so._shift(entries[at], 1)
     brackets, casimir = bad.check_brackets(), bad.check_casimir()
     assert brackets is reference_brackets(bad)
     assert casimir is reference_casimir(bad)
-    _int_view_matches_matrices(bad)
     if all(_tabled_string_coeffs(win)):
         # no string coefficient vanishes, so none hides the corruption
         assert brackets is False
