@@ -12,7 +12,8 @@ the one gcd of the one Weight it builds, for the Pi-weights the functors and
 duals derive from a label: (lam+k)/2, 2*lam - k and t - lam.  What both
 categories share lives here too: the Kac-label check,
 the hash-once base of the simple labels, the Grothendieck-group class, and
-the one catalogued-object type with its direct sum.
+the one catalogued-object type with its direct sum and the counter of their
+layer labels.
 """
 
 from __future__ import annotations
@@ -711,3 +712,21 @@ class DirectSum:
 
     def __str__(self) -> str:
         return " (+) ".join(str(p) for p in self.parts)
+
+
+def add_layers(out: Dict[Hashable, int], x: Union[LoewyObject, DirectSum], n: int = 1) -> None:
+    """out += n * each layer label of x, recursing into direct sums, in place,
+    deleting the entries that reach zero; out belongs to the caller and holds
+    no zero.  Every count of layer labels into a class goes through here."""
+    if isinstance(x, DirectSum):
+        for p in x.parts:
+            add_layers(out, p, n)
+        return
+    get = out.get
+    for layer in x.layers:
+        for y in layer:
+            m = get(y, 0) + n
+            if m:
+                out[y] = m
+            else:
+                del out[y]

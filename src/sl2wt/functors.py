@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .arithmetic import AdmissibleLevel, nu_rs
+from .arithmetic import AdmissibleLevel, add_layers, nu_rs
 from . import weight_cat as wc
 from . import local_cat as lc
 
@@ -118,13 +118,6 @@ def groth_restrict(level: AdmissibleLevel, p: lc.GrothA) -> wc.GrothC:
     restriction of each basis label n*lbl, counted into one dict whose entries
     are deleted on reaching 0, so sums that cancel stay exact."""
     out = {}
-    get = out.get
     for lbl, n in p.items():
-        for layer in restrict_simple(level, lbl).layers:
-            for x in layer:
-                m = get(x, 0) + n
-                if m:
-                    out[x] = m
-                else:
-                    del out[x]
+        add_layers(out, restrict_simple(level, lbl), n)
     return wc.GrothC._own(out)

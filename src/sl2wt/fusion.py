@@ -1,16 +1,20 @@
 """Fusion products inside the weight category.
 
 Two explicit families are catalogued at object level -- D+(1,1) fused with
-any lowest-weight D-(r,s), and the self-fusion of sigma(D+(1,1)) -- and a
-Grothendieck-level solver transfers arbitrary products of effective classes
-through the induction functor.  Induction is unitriangular on Grothendieck
-groups: the top of F(z) is tau(z) and every lower factor sits at a higher
-flow.  So the solver computes the induced product in the extended fusion ring
-and peels it flow by flow, lowest first, into the unique effective preimage,
-raising NoSolution when no effective class induces to it.  Peeling a term
-changes only higher flows, so the terms of one flow may go in any order.  A
-term whose coefficient is already zero when the peel reaches it starts no
-step, so tau is inverted (one restriction each) only on the terms that do.
+any lowest-weight D-(r,s), and the self-fusion of sigma(D+(1,1)).  The class
+of A fused with the restriction of a simple y, which pipeline step 2 counts,
+comes on two routes: the direct one restricts the layers of y's catalogued
+projective cover R(y), the other restricts [y]*[N] in the extended fusion
+ring, N = F(A).  A Grothendieck-level solver transfers arbitrary products of
+effective classes through the induction functor.  Induction is unitriangular
+on Grothendieck groups: the top of F(z) is tau(z) and every lower factor sits
+at a higher flow.  So the solver computes the induced product in the extended
+fusion ring and peels it flow by flow, lowest first, into the unique
+effective preimage, raising NoSolution when no effective class induces to it.
+Peeling a term changes only higher flows, so the terms of one flow may go in
+any order.  A term whose coefficient is already zero when the peel reaches it
+starts no step, so tau is inverted (one restriction each) only on the terms
+that do.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Dict, List, Optional, Union
 
-from .arithmetic import AdmissibleLevel, check_rs, lam_rs
+from .arithmetic import AdmissibleLevel, add_layers, check_rs, lam_rs
 from . import weight_cat as wc
 from . import local_cat as lc
 from .functors import groth_F, restrict_simple, groth_restrict, induce_simple, induce_vacuum, tau_inverse
@@ -86,21 +90,15 @@ def catalogued_fusion(
 def a_tensor_restriction(level: AdmissibleLevel, y: lc.SimpleALabel) -> wc.GrothC:
     """Composition factors of A fused with the restriction of y.
 
-    Computed directly from the printed exact sequence: the restriction of y
-    itself, plus the three-part complement with Pi-data
-    (l+2, lam-t) and (l+1, lam-t/2) at Kac labels (r, s-+1), components with
-    s-part 0 or v dropped.  The layer labels of these restrictions are
-    counted into one dict.
+    Computed directly from the printed exact sequence: the restrictions of
+    the layer labels of the projective cover R(y), as ``local_cat.r_layers``
+    catalogues them (y itself on top), counted into one dict.  So step 2
+    checks the R that induction prints against the fusion ring.
     """
-    lam_mid = y.lam - level.half_t
-    labels = [y, lc.simple_a(level, y.r, y.s, y.flow + 2, y.lam - level.t)]
-    labels += [lc.simple_a(level, y.r, s2, y.flow + 1, lam_mid) for s2 in (y.s - 1, y.s + 1) if 1 <= s2 <= level.v - 1]
     out = {}
-    get = out.get
-    for z in labels:
-        for layer in restrict_simple(level, z).layers:
-            for x in layer:
-                out[x] = get(x, 0) + 1
+    for layer in lc.r_layers(level, y):
+        for z in layer:
+            add_layers(out, restrict_simple(level, z))
     return wc.GrothC._own(out)
 
 
@@ -197,7 +195,7 @@ def groth_fuse_C(level: AdmissibleLevel, x: wc.GrothC, y: wc.GrothC) -> wc.Groth
     # when the result has more labels than the memo
     residual = dict(p.items())
     for z, n in reversed(out.items()):
-        lc.comp_factors_a(level, induce_simple(level, z))._add_to(residual, -n)
+        add_layers(residual, induce_simple(level, z), -n)
     if residual:
         raise NoSolution(f"F(result) differs from the product: {_lowest_left(residual)}")
     return wc.GrothC(out)

@@ -29,8 +29,7 @@ Each level also keeps the Virasoro channels of every ordered pair of Kac
 labels it has fused, ``AdmissibleLevel.channels``, keyed by (r, s, r', s')
 as vir_fuse was given them.  Every vir_fuse call still checks both Kac
 labels, and each returns a fresh list.  The Kac table bounds the table at
-((u-1)(v-1))^2 entries, so it is never cleared.  a_fuse and comp_factors_a
-each count their class into one dict and wrap it without a copy.
+((u-1)(v-1))^2 entries, so it is never cleared.
 """
 
 from __future__ import annotations
@@ -46,6 +45,7 @@ from .arithmetic import (
     HashedOnce,
     LoewyObject,
     Weight,
+    add_layers,
     as_weight,
     check_flow,
     check_rs,
@@ -234,23 +234,29 @@ def a_simple(x: SimpleALabel) -> AObject:
     return AObject("simple", x.r, x.s, x.flow, ((x,),))
 
 
+def r_layers(level: AdmissibleLevel, y: SimpleALabel) -> Tuple[tuple, ...]:
+    """The Loewy layers of the projective cover R(y) of the simple
+    y = (r,s,l,lam), top first, a diamond: top y, middle (r,s-+1,l+1,lam-t/2),
+    bottom (r,s,l+2,lam-t), middle entries with Kac s-component 0 or v
+    dropped, so that for v = 2 there is no middle layer.  build_R and the
+    direct route of pipeline step 2 both take R's layers from here."""
+    r, s, flow, lam = y.r, y.s, y.flow, y.lam
+    w_mid = lam - level.half_t
+    mid = [simple_a(level, r, s2, flow + 1, w_mid) for s2 in (s - 1, s + 1) if 0 < s2 < level.v]
+    # the middle labels share flow and lam, and r too, since y's (r, s) is
+    # canonical, so s gives the sort_key order
+    if len(mid) == 2 and mid[1].s < mid[0].s:
+        mid.reverse()
+    bot = (simple_a(level, r, s, flow + 2, lam - level.t),)
+    return ((y,), tuple(mid), bot) if mid else ((y,), bot)
+
+
 def build_R(level: AdmissibleLevel, r: int, s: int, lam, flow: int) -> AObject:
-    """The projective cover R(r,s;lam)@flow, a diamond: top (r,s,l,lam),
-    middle (r,s-+1,l+1,lam-t/2), bottom (r,s,l+2,lam-t), middle entries with
-    Kac s-component 0 or v dropped."""
+    """The projective cover R(r,s;lam)@flow of M(r,s) x Pi_flow(lam), with
+    the layers of :func:`r_layers`."""
     check_rs(level, r, s)
-    w = as_weight(lam).reduce(1)
-    top = (simple_a(level, r, s, flow, w),)
-    w_mid = w - level.half_t
-    mid = tuple(simple_a(level, r, s2, flow + 1, w_mid) for s2 in (s - 1, s + 1) if 1 <= s2 <= level.v - 1)
-    # the middle labels share flow and lam, and their canonical Kac labels
-    # differ (u and v are coprime), so (r, s) gives the sort_key order
-    if len(mid) == 2 and (mid[1].r, mid[1].s) < (mid[0].r, mid[0].s):
-        mid = mid[::-1]
-    bot = (simple_a(level, r, s, flow + 2, w - level.t),)
-    layers = tuple(layer for layer in (top, mid, bot) if layer)
-    r, s = min((r, s), (level.u - r, level.v - s))
-    return AObject("R", r, s, flow, layers)
+    top = simple_a(level, r, s, flow, lam)
+    return AObject("R", top.r, top.s, flow, r_layers(level, top))
 
 
 def build_M(level: AdmissibleLevel, r: int, s: int, flow: int) -> AObject:
@@ -291,16 +297,10 @@ def rigid_dual(
 
 
 def comp_factors_a(level: AdmissibleLevel, x: Union[AObject, DirectSum]) -> GrothA:
-    if isinstance(x, DirectSum):
-        total = a_class(level)
-        for p in x.parts:
-            comp_factors_a(level, p)._add_to(total.coeffs)
-        return total
+    """Composition-factor class of a catalogued object or (nested) direct sum,
+    in the extended fusion ring."""
     out = {}
-    get = out.get
-    for layer in x.layers:
-        for y in layer:
-            out[y] = get(y, 0) + 1
+    add_layers(out, x)
     return Groth._own(out, partial(a_fuse, level))
 
 

@@ -16,7 +16,6 @@ factors, spectral flow and contragredients read them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Optional, Union
 
 from .arithmetic import (
@@ -26,6 +25,7 @@ from .arithmetic import (
     HashedOnce,
     LoewyObject,
     Weight,
+    add_layers,
     as_weight,
     check_flow,
     check_rs,
@@ -222,12 +222,19 @@ def direct_sum(parts: Iterable[CObject]) -> Union[CObject, DirectSum]:
 
 
 def spectral_flow(x, m: int):
-    """sigma^m, adding m to every flow index (of labels, layers and objects alike)."""
+    """sigma^m, adding m to every flow index (of labels, layers and objects
+    alike); m must be an int, like every flow."""
+    check_flow(m)
+    return _flowed(x, m)
+
+
+def _flowed(x, m: int):
+    """spectral_flow for an m already checked."""
     if isinstance(x, SimpleCLabel):
         return SimpleCLabel(x.flow + m, x.r, x.s, x.lam)
     if isinstance(x, DirectSum):
-        return DirectSum(tuple(spectral_flow(p, m) for p in x.parts))
-    layers = tuple(tuple(spectral_flow(lbl, m) for lbl in layer) for layer in x.layers)
+        return DirectSum(tuple(_flowed(p, m) for p in x.parts))
+    layers = tuple(tuple(_flowed(lbl, m) for lbl in layer) for layer in x.layers)
     return CObject(x.tag, x.r, x.s, x.flow + m, layers)
 
 
@@ -280,6 +287,8 @@ def cobject_to_json(x: Union[CObject, DirectSum]) -> dict:
 
 
 def comp_factors(level: AdmissibleLevel, x: Union[CObject, DirectSum]) -> GrothC:
-    """Composition-factor class of a catalogued object, all labels canonical."""
-    parts = x.parts if isinstance(x, DirectSum) else (x,)
-    return GrothC.of(*chain.from_iterable(layer for p in parts for layer in p.layers))
+    """Composition-factor class of a catalogued object or (nested) direct sum,
+    all labels canonical."""
+    out = {}
+    add_layers(out, x)
+    return GrothC._own(out)

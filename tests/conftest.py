@@ -6,6 +6,7 @@ import pytest
 from sl2wt import Weight, admissible_level
 from sl2wt.arithmetic import Groth
 from sl2wt import functors as fn
+from sl2wt import local_cat as lc
 from sl2wt import weight_cat as wc
 from sl2wt.pipeline import FLOWS, _typical_samples
 
@@ -55,3 +56,25 @@ def step2_samples(level):
             for flow in FLOWS:
                 out.extend(y for y, _ in _typical_samples(level, r, s, flow))
     return out
+
+
+@pytest.fixture
+def r_middle_up(monkeypatch):
+    """A mutant of the projective covers R: ``local_cat.r_layers`` patched so
+    that R's middle layer sits at lam + t/2 instead of lam - t/2.  The
+    induction memo is cleared once the mutant is in and again once it is out.
+    For v = 2, R has no middle layer, so there the mutant is the real code."""
+    real = lc.r_layers
+
+    def middle_up(level, y):
+        layers = real(level, y)
+        if len(layers) == 2:
+            return layers
+        top, mid, bot = layers
+        return top, tuple(lc.simple_a(level, z.r, z.s, z.flow, z.lam + level.t) for z in mid), bot
+
+    monkeypatch.setattr(lc, "r_layers", middle_up)
+    fn.induce_simple.cache_clear()
+    yield
+    monkeypatch.undo()
+    fn.induce_simple.cache_clear()

@@ -400,3 +400,17 @@ def test_a_tensor_restriction_dropping_a_piece_fails_step2(monkeypatch):
     checks = report.step2.typical_multiplicity_checks + report.step2.atypical_multiplicity_checks
     assert all(not c.routes_agree for c in checks)
     assert report.step1.passed and report.step3.passed and report.step4.passed
+
+
+@pytest.mark.parametrize("uv", SAMPLE_LEVELS, ids=lambda uv: f"{uv[0]}-{uv[1]}")
+def test_step2_checks_the_catalogued_R(r_middle_up, uv):
+    # the direct route restricts the layers of the R that induction prints,
+    # so a wrong middle layer of R makes it disagree with the ring
+    report = run_pipeline(admissible_level(*uv))
+    checks = report.step2.typical_multiplicity_checks + report.step2.atypical_multiplicity_checks
+    assert checks
+    if uv[1] == 2:  # no middle layer: the mutant is the real code
+        assert report.step2.passed and all(c.routes_agree for c in checks)
+    else:
+        assert all(not c.routes_agree for c in checks)
+        assert not report.step2.passed and not report.verdict

@@ -222,6 +222,16 @@ def test_label_constructors_refuse_flows_that_are_not_integers(name, flow):
         build(lv, flow)
 
 
+@pytest.mark.parametrize("flow", [0.5, True, F(1, 2), "1"], ids=repr)
+def test_spectral_flow_refuses_flows_that_are_not_integers(flow):
+    lv = admissible_level(5, 3)
+    x = wc.atypical(lv, 1, 1)
+    for target in (x, wc.eminus(lv, 1, 1), wc.DirectSum((wc.simple(x), wc.projective(lv, 1, 1)))):
+        assert wc.spectral_flow(target, 1) != target  # an int flow is taken
+        with pytest.raises(ValueError, match=re.escape(f"flow {flow!r} must be an integer")):
+            wc.spectral_flow(target, flow)
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), uv=st.sampled_from(TEST_LEVELS), c_first=st.booleans())
 def test_direct_sums_of_mixed_categories_are_refused(data, uv, c_first):

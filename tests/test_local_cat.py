@@ -360,3 +360,4 @@ def test_comp_factors_a_counts_every_layer_label(uv):
         assert got.fuse.func is lc.a_fuse and got.fuse.args == (lv,)
     total = lc.comp_factors_a(lv, DirectSum(tuple(objects)))
     assert total == Groth.of(*(y for x in objects for layer in x.layers for y in layer))
+    assert lc.comp_factors_a(lv, DirectSum((objects[0], DirectSum(tuple(objects[1:]))))) == total

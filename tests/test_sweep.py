@@ -26,3 +26,11 @@ def test_level_sweep(uv):
     lv = admissible_level(*uv)
     assert run_pipeline(lv).verdict
     assert verify_affine_singular(lv)
+
+
+@pytest.mark.slow
+def test_step2_checks_the_catalogued_R_at_every_level(r_middle_up):
+    # the middle-layer mutant of R (conftest.r_middle_up) changes R exactly
+    # where it has a middle layer, v >= 3
+    failed = [uv for uv in SWEEP_LEVELS if not run_pipeline(admissible_level(*uv)).step2.passed]
+    assert failed == [uv for uv in SWEEP_LEVELS if uv[1] >= 3]

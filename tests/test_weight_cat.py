@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from sl2wt import OMEGA, OutOfKacTable, admissible_level, wt
-from sl2wt.arithmetic import lam_rs
+from sl2wt.arithmetic import DirectSum, lam_rs
 from sl2wt import weight_cat as wc
 
 from conftest import TEST_LEVELS, map_labels, random_weight, rng
@@ -148,6 +148,15 @@ def test_comp_factors_eplus_eminus():
             minus = wc.comp_factors(lv, wc.eminus(lv, r, s, 0))
             assert plus == minus
             assert wc.eplus(lv, lv.u - r, lv.v - s, 0) != wc.eminus(lv, r, s, 0)
+
+
+def test_comp_factors_counts_the_parts_of_nested_sums(level):
+    a, b = wc.eminus(level, 1, 1, 0), wc.projective(level, 1, 1, 2)
+    c = wc.simple(wc.atypical(level, 1, 1, -1))
+    flat = wc.comp_factors(level, DirectSum((a, b, c)))
+    assert flat == wc.comp_factors(level, a) + wc.comp_factors(level, b) + wc.comp_factors(level, c)
+    for nested in (DirectSum((DirectSum((a, b)), c)), DirectSum((a, DirectSum((b, c))))):
+        assert wc.comp_factors(level, nested) == flat
 
 
 def test_comp_factors_vacuum_extension():
