@@ -9,10 +9,18 @@ stores (p + q*w)/d as three integers with d > 0 and gcd(p, q, d) = 1, so its
 arithmetic, hashing, coset reduction and printing run on integers and build
 no Fraction.  ``Weight.affine(m, c)`` gives m*lam + c in one normalization,
 the one gcd of the one Weight it builds, for the Pi-weights the functors and
-duals derive from a label: (lam+k)/2, 2*lam - k and t - lam.  What both
-categories share lives here too: the Kac-label check,
-the hash-once base of the simple labels, the Grothendieck-group class, and
-the one catalogued-object type with its direct sum and the counter of their
+duals derive from a label: (lam+k)/2, 2*lam - k and t - lam.
+
+lambda_{r,s} = ((r-1)v - us)/v and nu_{r,s} = ((r-1)v - u(s-1))/(2v) are
+written once each, as an integer numerator over an integer denominator
+(``lam_ratio``, ``nu_ratio``).  The label code reads those integers as they
+are: the coset tests take them unreduced, and a nu-label is one Weight with
+one gcd (``nu_weight``).  No level tables them, so a level's first use costs
+the same at any u, v.  ``lam_rs`` and ``nu_rs`` give the Fractions.
+
+What both categories share lives here too: the Kac-label check, the
+hash-once base of the simple labels, the Grothendieck-group class, and the
+one catalogued-object type with its direct sum and the counter of their
 layer labels.
 """
 
@@ -205,19 +213,19 @@ class Weight(Immutable):
         _set_d(out, self.d)
         return out
 
-    def on_coset(self, c: Rational, m: int, sign: int = 1) -> bool:
-        """Whether the weight lies on sign*c + mZ, for an exact rational c,
-        m > 0 and sign = +-1; the same answer as ``not (self - sign*c).reduce(m)``.
+    def on_coset(self, n: int, b: int, m: int, sign: int = 1) -> bool:
+        """Whether the weight lies on sign*n/b + mZ, for integers n and b > 0
+        (n/b need not be in lowest terms), m > 0 and sign = +-1; the same
+        answer as ``not (self - sign*Fraction(n, b)).reduce(m)``.
 
         The test is exact and builds nothing.  w is a formal irrational, so a
-        weight with a nonzero w-part lies on no rational coset.  Otherwise,
-        with c = a/b in lowest terms, self - sign*c = (p*b - sign*a*d)/(d*b),
-        which lies in mZ exactly when m*d*b divides the integer p*b - sign*a*d.
+        weight with a nonzero w-part lies on no rational coset.  Otherwise
+        self - sign*n/b = (p*b - sign*n*d)/(d*b), which lies in mZ exactly
+        when m*d*b divides the integer p*b - sign*n*d.
         """
         if self.q:
             return False
-        b = c.denominator
-        return (self.p * b - sign * c.numerator * self.d) % (m * self.d * b) == 0
+        return (self.p * b - sign * n * self.d) % (m * self.d * b) == 0
 
     @property
     def is_rational(self) -> bool:
@@ -351,8 +359,8 @@ class AdmissibleLevel:
                 f"(u, v) = ({self.u}, {self.v}) is not coprime with u, v >= 2"
             )
 
-    # t, k, t/2, the shifts below and the Kac tables are read on every label,
-    # functor and Pi-sector step: build them once per level
+    # t, k, t/2 and the shifts below are read on every label, functor and
+    # Pi-sector step: build them once per level (lambda and nu are closed forms)
     @cached_property
     def t(self) -> Fraction:
         return Fraction(self.u, self.v)
@@ -374,16 +382,6 @@ class AdmissibleLevel:
     @cached_property
     def minus_k_weight(self) -> Weight:
         return Weight(2 * self.v - self.u, 0, self.v)
-
-    @cached_property
-    def lam_table(self) -> Tuple[Tuple[Fraction, ...], ...]:
-        """lam_table[r][s] = lambda_{r,s} for 0 <= r <= u and 0 <= s <= v+1."""
-        return _kac_table(self, _lam)
-
-    @cached_property
-    def nu_table(self) -> Tuple[Tuple[Fraction, ...], ...]:
-        """nu_table[r][s] = nu_{r,s} for 0 <= r <= u and 0 <= s <= v+1."""
-        return _kac_table(self, _nu)
 
     # The memos of the layers above that depend on the level live on it: the
     # simple A-labels built, the Virasoro fusion channels computed, the
@@ -415,7 +413,7 @@ class AdmissibleLevel:
         return {}
 
     def __reduce__(self):
-        # a pickle or copy carries u and v only, not the tables above
+        # a pickle or copy carries u and v only, not the memos above
         return (AdmissibleLevel, (self.u, self.v))
 
     @property
@@ -433,46 +431,41 @@ def admissible_level(u: int, v: int) -> AdmissibleLevel:
     return AdmissibleLevel(u, v)
 
 
-# -- raw Kac-table quantities, no range checks (internal building blocks) --
-
-# The label code reads lambda_{r,s} and nu_{r,s} at 0 <= r <= u and
-# 0 <= s <= v+1 (the Kac table plus the columns s = 0, v and v+1 that the
-# fusion table and build_M reach); AdmissibleLevel tables them there, and
-# values outside that range are built on each call.
+# -- Kac-table quantities at any (r, s), no range checks --
 
 
-def _kac_table(level: AdmissibleLevel, formula) -> Tuple[Tuple[Fraction, ...], ...]:
-    return tuple(
-        tuple(formula(level, r, s) for s in range(level.v + 2)) for r in range(level.u + 1)
-    )
+def lam_ratio(level: AdmissibleLevel, r: int, s: int) -> Tuple[int, int]:
+    """(n, b) with lambda_{r,s} = r - 1 - t*s = n/b = ((r-1)v - us)/v, not in
+    lowest terms."""
+    return (r - 1) * level.v - level.u * s, level.v
 
 
-def _lam(level: AdmissibleLevel, r: int, s: int) -> Fraction:
-    return Fraction((r - 1) * level.v - level.u * s, level.v)
-
-
-def _nu(level: AdmissibleLevel, r: int, s: int) -> Fraction:
-    return Fraction((r - 1) * level.v - level.u * (s - 1), 2 * level.v)
+def nu_ratio(level: AdmissibleLevel, r: int, s: int) -> Tuple[int, int]:
+    """(n, b) with nu_{r,s} = (r - 1 - t*(s-1))/2 = n/b = ((r-1)v - u(s-1))/(2v),
+    not in lowest terms."""
+    return (r - 1) * level.v - level.u * (s - 1), 2 * level.v
 
 
 def lam_rs(level: AdmissibleLevel, r: int, s: int) -> Fraction:
     """lambda_{r,s} = r - 1 - t*s."""
-    if 0 <= r <= level.u and 0 <= s <= level.v + 1:
-        return level.lam_table[r][s]
-    return _lam(level, r, s)
+    return Fraction(*lam_ratio(level, r, s))
+
+
+def nu_rs(level: AdmissibleLevel, r: int, s: int) -> Fraction:
+    """nu_{r,s} = (r - 1 - t*(s-1)) / 2."""
+    return Fraction(*nu_ratio(level, r, s))
+
+
+def nu_weight(level: AdmissibleLevel, r: int, s: int) -> Weight:
+    """nu_{r,s} as a Weight, built from its integers with one gcd."""
+    n, b = nu_ratio(level, r, s)
+    return Weight(n, 0, b)
 
 
 def delta_rs(level: AdmissibleLevel, r: int, s: int) -> Fraction:
     """Delta_{r,s} = ((r - t*s)^2 - 1) / (4t)."""
     t = level.t
     return ((r - t * s) ** 2 - 1) / (4 * t)
-
-
-def nu_rs(level: AdmissibleLevel, r: int, s: int) -> Fraction:
-    """nu_{r,s} = (r - 1 - t*(s-1)) / 2."""
-    if 0 <= r <= level.u and 0 <= s <= level.v + 1:
-        return level.nu_table[r][s]
-    return _nu(level, r, s)
 
 
 def h_rs(level: AdmissibleLevel, r: int, s: int) -> Fraction:

@@ -15,6 +15,9 @@ in labels and in --level u/v, --flows a..b and --window, is ASCII -?[0-9]+.
 A weight lam is a signed sum of terms p, p/q and [p/q][*]w, where w is the
 formal irrational (e.g. 1/5+w); in JSON it is {"a":[p,q],"b":[p,q]}.
 
+A value that starts with "-" takes "=" (--lam=-1/3, --casimir=-1/2,
+--flows=-2..2): argparse reads "--lam -1/3" as two options and exits 2.
+
 Exit codes: 0 success, 1 failed check, 2 usage/validation error.
 """
 
@@ -264,7 +267,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add("kac", _cmd_kac, "print the Kac table (lambda, Delta, nu, h)")
 
     p = add("pipeline", _cmd_pipeline, "run the four-step rigidity verification")
-    p.add_argument("--flows", help=f"flow sample range a..b (default -2..2, at most {MAX_FLOWS} flows)")
+    p.add_argument("--flows", help=f"flow sample range a..b (default -2..2, at most {MAX_FLOWS} flows; "
+                   "a negative a takes '=': --flows=-2..2)")
 
     po = sub.add_parser("oracle", help="finite-window sl2 oracle checks")
     osub = po.add_subparsers(dest="oracle_command", required=True)
@@ -272,8 +276,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--level", required=True)
     ps.set_defaults(func=_cmd_oracle)
     pr = osub.add_parser("relaxed", help="relaxed-module window checks")
-    pr.add_argument("--lam", required=True)
-    pr.add_argument("--casimir", required=True)
+    pr.add_argument("--lam", required=True, help="the weight lam (a negative one takes '=': --lam=-1/3)")
+    pr.add_argument("--casimir", required=True, help="the Casimir eigenvalue (a negative one takes '=': --casimir=-1/2)")
     pr.add_argument("--sign", choices=("minus", "plus"), default="minus")
     pr.add_argument("--window", default="20")
     pr.set_defaults(func=_cmd_oracle)

@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .arithmetic import AdmissibleLevel, add_layers, nu_rs
+from .arithmetic import AdmissibleLevel, add_layers, nu_ratio, nu_weight
 from . import weight_cat as wc
 from . import local_cat as lc
 
@@ -54,9 +54,9 @@ def restrict_simple(level: AdmissibleLevel, y: lc.SimpleALabel) -> wc.CObject:
 def _restrict_simple(level: AdmissibleLevel, y: lc.SimpleALabel) -> wc.CObject:
     """restrict_simple without its memo."""
     flow = y.flow + 1
-    if y.lam.on_coset(nu_rs(level, y.r, y.s), 1):
+    if y.lam.on_coset(*nu_ratio(level, y.r, y.s), 1):
         return wc.eminus(level, level.u - y.r, level.v - y.s, flow)
-    if y.lam.on_coset(nu_rs(level, level.u - y.r, level.v - y.s), 1):
+    if y.lam.on_coset(*nu_ratio(level, level.u - y.r, level.v - y.s), 1):
         return wc.eminus(level, y.r, y.s, flow)
     return wc.simple(wc.typical(level, y.r, y.s, y.lam.affine(2, level.minus_k_weight), flow))
 
@@ -66,16 +66,16 @@ def tau(level: AdmissibleLevel, x: wc.SimpleCLabel) -> lc.SimpleALabel:
     if x.is_typical:
         return lc.simple_a(level, x.r, x.s, x.flow - 1, x.lam.affine(_HALF, level.half_k_weight))
     if x.s <= level.v - 2:
-        return lc.simple_a(level, x.r, x.s + 1, x.flow, nu_rs(level, x.r, x.s + 1))
+        return lc.simple_a(level, x.r, x.s + 1, x.flow, nu_weight(level, x.r, x.s + 1))
     ru = level.u - x.r
-    return lc.simple_a(level, ru, 1, x.flow + 1, nu_rs(level, ru, 1))
+    return lc.simple_a(level, ru, 1, x.flow + 1, nu_weight(level, ru, 1))
 
 
 def tau_tilde(level: AdmissibleLevel, x: wc.SimpleCLabel) -> lc.SimpleALabel:
     """The simple extended module whose restriction surjects onto x."""
     if x.is_typical:
         return tau(level, x)
-    return lc.simple_a(level, x.r, x.s, x.flow - 1, nu_rs(level, x.r, x.s))
+    return lc.simple_a(level, x.r, x.s, x.flow - 1, nu_weight(level, x.r, x.s))
 
 
 @lru_cache(maxsize=256)

@@ -51,7 +51,7 @@ from .arithmetic import (
     check_rs,
     h_rs,
     json_field,
-    nu_rs,
+    nu_weight,
     pi_conf_weight,
     set_hash,
     slot_setters,
@@ -269,11 +269,11 @@ def build_M(level: AdmissibleLevel, r: int, s: int, flow: int) -> AObject:
     """
     check_rs(level, r, s, 1, level.v)
     if s == 1:
-        return a_simple(simple_a(level, r, 1, flow, nu_rs(level, r, 1)))
+        return a_simple(simple_a(level, r, 1, flow, nu_weight(level, r, 1)))
     if s == level.v:
-        return a_simple(simple_a(level, r, level.v - 1, flow + 1, nu_rs(level, r, level.v + 1)))
-    top = (simple_a(level, r, s, flow, nu_rs(level, r, s)),)
-    bot = (simple_a(level, r, s - 1, flow + 1, nu_rs(level, r, s + 1)),)
+        return a_simple(simple_a(level, r, level.v - 1, flow + 1, nu_weight(level, r, level.v + 1)))
+    top = (simple_a(level, r, s, flow, nu_weight(level, r, s)),)
+    bot = (simple_a(level, r, s - 1, flow + 1, nu_weight(level, r, s + 1)),)
     return AObject("M", r, s, flow, (top, bot))
 
 

@@ -30,7 +30,7 @@ from .arithmetic import (
     check_flow,
     check_rs,
     json_field,
-    lam_rs,
+    lam_ratio,
     set_hash,
     slot_setters,
 )
@@ -103,9 +103,9 @@ def typical(level: AdmissibleLevel, r: int, s: int, lam, flow: int = 0) -> Simpl
     check_rs(level, r, s)
     check_flow(flow)
     w = as_weight(lam).reduce(2)
-    lam_r = lam_rs(level, r, s)
+    n, b = lam_ratio(level, r, s)
     for sign, factor in (("+", 1), ("-", -1)):
-        if w.on_coset(lam_r, 2, factor):
+        if w.on_coset(n, b, 2, factor):
             raise NotSimple(f"E({w};{r},{s}) is reducible: lam = {sign}lambda_{{r,s}} mod 2Z")
     r, s = min((r, s), (level.u - r, level.v - s))
     return SimpleCLabel(flow, r, s, w)

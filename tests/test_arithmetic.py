@@ -1,5 +1,6 @@
 import copy
 import pickle
+import tracemalloc
 from fractions import Fraction as F
 from math import floor, gcd
 
@@ -22,6 +23,7 @@ from sl2wt.arithmetic import Groth, as_weight, delta_rs, h_rs, lam_rs, nu_rs
 from sl2wt import functors as fn
 from sl2wt import fusion as fu
 from sl2wt import local_cat as lc
+from sl2wt import sl2_oracle as so
 from sl2wt import weight_cat as wc
 from sl2wt.pipeline import run_pipeline
 
@@ -72,7 +74,8 @@ def test_kac_symmetries_exhaustive(level):
 
 
 def test_kac_tables_match_the_formulas(level):
-    # tabled on 0 <= r <= u, 0 <= s <= v+1, built per call one step outside
+    # lambda and nu come from their closed forms at every (r, s), inside the
+    # Kac table, on its border columns and one step outside
     t = level.t
     for r in range(-1, level.u + 2):
         for s in range(-1, level.v + 3):
@@ -309,9 +312,9 @@ def test_weight_affine_matches_scale_and_shift(xp, m, cp):
 
 @pytest.mark.parametrize("uv", TEST_LEVELS + [(13, 8)], ids=lambda uv: f"{uv[0]}-{uv[1]}")
 def test_label_and_functor_hot_path_builds_no_fraction(monkeypatch, uv):
-    # once a level has built its constants (t, k, t/2 and the lambda and nu
-    # tables), labels, restriction, tau^-1, induction and simple fusion build
-    # no Fraction
+    # once a level has built its constants (t, k and t/2), labels,
+    # restriction, tau^-1, induction and simple fusion build no Fraction:
+    # lambda and nu are read as the integers of their closed forms
     level = admissible_level(*uv)
     r = rng(uv[0] * 10 + uv[1])
     args = []
@@ -319,7 +322,7 @@ def test_label_and_functor_hot_path_builds_no_fraction(monkeypatch, uv):
         for ss in range(1, level.v):
             for lam in (nu_rs(level, rr, ss) + 1, nu_rs(level, level.u - rr, level.v - ss), random_weight(r)):
                 args.append((rr, ss, r.randint(-2, 2), as_weight(lam)))
-    for name in ("t", "k", "half_t", "lam_table", "nu_table"):
+    for name in ("t", "k", "half_t"):
         getattr(level, name)
     assert not level.restrictions  # every restriction below is computed
 
@@ -333,6 +336,27 @@ def test_label_and_functor_hot_path_builds_no_fraction(monkeypatch, uv):
         x = fn.tau_inverse(level, y)
         fn.induce_simple(level, x)
         lc.a_fuse(level, y, labels[0])
+
+
+def test_a_levels_first_use_allocates_nothing_that_grows_with_u_v():
+    # lambda and nu come from their closed forms, so a fresh level's first
+    # labels, functors, Kac data and singular-vector check build no table
+    # (two (u+1) x (v+2) Fraction tables of lambda and nu take 1.7 MB here)
+    level = admissible_level(101, 100)
+    tracemalloc.start()
+    try:
+        y = lc.simple_a(level, 1, 1, 0, OMEGA)
+        fn.restrict_simple(level, y)
+        fn.restrict_simple(level, lc.simple_a(level, 2, 3, 1, nu_rs(level, 2, 3)))
+        fn.tau(level, wc.typical(level, 1, 1, OMEGA))
+        fn.tau(level, wc.atypical(level, 1, 1))
+        lc.build_M(level, 1, 2, 0)
+        kac_data(level, 1, 1)
+        assert so.verify_affine_singular(level)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 # -- sums in place: Groth._add_to, and the sums and products built on it --
@@ -408,15 +432,21 @@ def test_pipeline_leaves_the_shared_vacuum_class_alone():
 
 
 @settings(max_examples=400, deadline=None)
-@given(_pairs, _fractions | st.integers(-9, 9), st.sampled_from([1, 2]), st.sampled_from([1, -1]),
-       st.booleans(), st.integers(-5, 5))
-def test_on_coset_matches_the_reduction(pair, c, m, sign, place, j):
+@given(_pairs, _fractions | st.integers(-9, 9), st.integers(1, 6), st.sampled_from([1, 2]),
+       st.sampled_from([1, -1]), st.booleans(), st.integers(-5, 5))
+@example((F(0), F(0)), F(-7, 3), 4, 2, -1, True, 1)
+@example((F(1, 2), F(0)), -3, 2, 2, 1, False, 0)
+def test_on_coset_matches_the_reduction(pair, c, j, m, sign, place, shift):
     a, b = pair
     if place:  # put the rational part on the coset, so that True cases come up
-        a = sign * c + m * j
+        a = sign * c + m * shift
     x = Weight(a, b)
-    assert x.on_coset(c, m, sign) == (not (x - sign * c).reduce(m))
-    assert x.on_coset(c, m, sign) == (b == 0 and (F(a - sign * c) / m).denominator == 1)
+    # the coset c as integers n/den, not in lowest terms when j > 1
+    c = F(c)
+    n, den = c.numerator * j, c.denominator * j
+    got = x.on_coset(n, den, m, sign)
+    assert got == (not (x - sign * c).reduce(m))
+    assert got == (b == 0 and (F(a - sign * c) / m).denominator == 1)
 
 
 def _refused_before(level, r, s, lam):

@@ -201,6 +201,31 @@ def test_oracle_commands(capsys):
     assert code == 0 and "-2" in out
 
 
+def test_negative_option_values_take_the_equals_form(capsys):
+    code, out, _ = run(capsys, "oracle", "relaxed", "--lam=-1/3", "--casimir=-1/2", "--window", "20")
+    assert code == 0 and "bracket relations: True" in out
+    code, out, _ = run(capsys, "pipeline", "--level", "5/3", "--flows=-2..2")
+    assert code == 0 and out == run(capsys, "pipeline", "--level", "5/3")[1]
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["oracle", "relaxed", "--lam", "-1/3", "--casimir", "0"], "--lam"),
+        (["oracle", "relaxed", "--lam", "0", "--casimir", "-1/2"], "--casimir"),
+        (["pipeline", "--level", "5/3", "--flows", "-2..2"], "--flows"),
+    ],
+)
+def test_negative_option_values_in_the_space_form_are_usage_errors(capsys, argv, option):
+    # argparse reads a value that starts with "-" as an option
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].endswith(f"error: argument {option}: expected one argument")
+
+
 def test_fuse_typical_pair_has_no_object_line(capsys):
     code, out, _ = run(
         capsys, "fuse", "--level", "5/3", "--lhs", "E(w;1,2)@0", "--rhs", "D+(2,1)@-1"
