@@ -236,8 +236,16 @@ def _cmd_oracle(args) -> int:
     return 0 if brackets and casimir_ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors print one line, `error: <message>`,
+    like every other usage error, and exit 2; its subparsers are of this class too."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sl2wt",
         description="exact computations in the weight-module category of affine sl2 at admissible level",
     )

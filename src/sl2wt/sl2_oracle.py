@@ -10,19 +10,24 @@ vector that drives the explicit fusion computation.
 e, f and h act on a window by weighted shifts (a coefficient per index and
 an index shift) with coefficients in Q[w], w the formal irrational, since a
 generic weight lam = a + b*w gets squared in the string coefficients.  Each
-window builds one table per generator, once, on first use: int polynomials
-over one denominator D per table, read off the integers of
-lam = (p + q*w)/d and C = (p_C + q_C*w)/d_C.  An h entry is
-X = p + 2id + q*w over D = d, a string coefficient is an integer polynomial
-N over D = 4d^2 d_C, and the unit side is 1 over D = 1.
+coefficient is an integer polynomial in w over one denominator D per
+generator, read off the integers of lam = (p + q*w)/d and
+C = (p_C + q_C*w)/d_C: an h entry is X = p + 2id + q*w over D = d, a string
+coefficient is an integer polynomial N over D = 4d^2 d_C, and the unit side
+is 1 over D = 1.
 
-The bracket and Casimir checks compose these tables into the tables of ef,
-fe, he, ... and compare cross-multiplied relations at every interior index:
-[a, b] = s*c becomes (AB - BA)*D_c = s*C*D_a*D_b for the int tables A, B, C,
-and the Casimir relation has every term scaled to one common denominator.
-`act` applies a table to a vector and divides each output coefficient by D,
-for the submodule witness.  reducibility_points scans the window on integers
-too and builds a Weight only for a hit.
+The bracket and Casimir relations, cross-multiplied by the denominators,
+are identities in Z[w]: [a, b] = s*c becomes (AB - BA)*D_c = s*C*D_a*D_b
+for the entries A, B, C, and the Casimir relation has every term scaled to
+one common denominator.  If m is the largest w-degree of an entry (0 for
+rational lam and C, 1 when only C has a w-part, 2 when lam has one), each
+side has degree at most 2m, and a nonzero polynomial of degree at most 2m
+has at most 2m roots.  So each window evaluates its entries, once, at
+w = 0, 1, ..., 2m into tables of plain ints, and checking every relation at
+every interior index and every point is exactly as strong as checking it in
+Z[w].  `act` computes each output coefficient from the entries per call and
+divides it by D.  reducibility_points scans the window on integers and
+builds a Weight only for a hit.
 """
 
 from __future__ import annotations
@@ -30,22 +35,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from numbers import Rational
 from typing import Dict, Iterable, List, Tuple
 
 from .arithmetic import AdmissibleLevel, Weight, as_weight, lam_rs
 
 # Largest window N accepted by RelaxedWindow and reducibility_points.  The
-# tables of a window hold 6N + 1 entries, so memory grows with N as time does.
+# tables of a window hold 6N + 1 ints per evaluation point, so memory grows
+# with N as time does.
 MAX_WINDOW = 5000
 
-# Coefficients of 1, w, w^2, ...: ints in the tables and the checks,
-# Fractions in the values that act, _x, up_coeff and down_coeff return.
-# Every poly this module builds or accepts is trimmed: its last coefficient
-# is nonzero, and 0 is the empty tuple.  The helpers below rely on that: a
-# product's top coefficient a_m * b_n is never 0 (Z and Q have no zero
-# divisors), and a sum can only cancel at the top when both terms have the
-# same length.
+# Coefficients of 1, w, w^2, ...: ints in the entries, Fractions in the
+# vectors that act takes and returns.  Every poly this module builds or
+# accepts is trimmed: its last coefficient is nonzero, and 0 is the empty
+# tuple.  The helpers below rely on that: a product's top coefficient
+# a_m * b_n is never 0 (Z and Q have no zero divisors), and a sum can only
+# cancel at the top when both terms have the same length.
 Poly = Tuple[Rational, ...]
 
 _ZERO: Poly = ()
@@ -56,16 +62,6 @@ def _trim(cs: List[Rational]) -> Poly:
     while cs and not cs[-1]:
         cs.pop()
     return tuple(cs)
-
-
-def _shift(p: Poly, k: int) -> Poly:
-    """p + k for an integer k."""
-    if not p:
-        return (k,) if k else _ZERO
-    c = p[0] + k
-    if len(p) > 1:
-        return (c, *p[1:])
-    return (c,) if c else _ZERO
 
 
 def _padd(p: Poly, q: Poly) -> Poly:
@@ -84,24 +80,6 @@ def _padd(p: Poly, q: Poly) -> Poly:
     if lp == lq:
         return _trim(out)
     return (*out, *p[lq:])
-
-
-def _psub(p: Poly, q: Poly) -> Poly:
-    """p - q."""
-    if not q:
-        return p
-    if not p:
-        return tuple([-b for b in q])
-    lp, lq = len(p), len(q)
-    if lp == 1 == lq:
-        c = p[0] - q[0]
-        return (c,) if c else _ZERO
-    out = [a - b for a, b in zip(p, q)]
-    if lp == lq:
-        return _trim(out)
-    if lp > lq:
-        return (*out, *p[lq:])
-    return (*out, *[-b for b in q[lp:]])
 
 
 def _pmul(p: Poly, q: Poly) -> Poly:
@@ -140,24 +118,18 @@ def _pscale(p: Poly, c) -> Poly:
     return tuple([a * c for a in p])
 
 
+def _at(p: Poly, t: int) -> int:
+    """The value of the int poly p at w = t."""
+    v = 0
+    for c in reversed(p):
+        v = v * t + c
+    return v
+
+
 Vec = Dict[int, Poly]  # window vector: index i -> coefficient of v_{lam+2i}
 
-# A weighted shift over one denominator D: the int poly D*c_i at each window
-# index i it acts on, the index shift, and D.  It sends v_i to
-# c_i * v_{i + shift}; an index without an entry is sent to 0.
-Table = Tuple[Dict[int, Poly], int, int]
-
-
-def _compose(a: Table, b: Table) -> Table:
-    """The weighted shift a∘b (b first) over D_a D_b: (a∘b)[i] = b[i]·a[i + shift_b]."""
-    ta, sa, da = a
-    tb, sb, db = b
-    return {i: _pmul(c, ta[i + sb]) for i, c in tb.items() if i + sb in ta}, sa + sb, da * db
-
-
-def _over(p: Poly, den: int) -> Poly:
-    """p / den, with Fraction coefficients."""
-    return tuple([Fraction(c, den) for c in p])
+# the index shift of each generator's weighted shift: v_i -> c_i v_{i + shift}
+_SHIFT = {"h": 0, "e": 1, "f": -1}
 
 
 @dataclass(frozen=True)
@@ -171,14 +143,13 @@ class RelaxedWindow:
     Shift images falling outside the window are truncated, so only interior
     indices support exact relations.
 
-    The window builds one table per generator at its first check or act and
-    keeps it: int entries over the table's denominator D, which is d for h,
-    4d^2 d_C for the string side and 1 for the unit side.  The relation
-    checks compose those tables as operators and compare the
-    cross-multiplied products entry by entry on the interior.  _x, up_coeff
-    and down_coeff give the exact value of one entry, computed per call from
-    the same integers.  The constructor rejects a lam or C that is not a
-    Weight, a sign other than minus/plus and a window outside
+    Each coefficient, times its generator's denominator D, is an int
+    polynomial in w (`_entry`).  At its first check the window evaluates
+    every entry at w = 0, 1, ..., 2m, m the largest w-degree of an entry,
+    and keeps one int table per generator and point; the relation checks
+    compare at every interior index and every point, which is the check in
+    Z[w] (see the module docstring).  The constructor rejects a lam or C
+    that is not a Weight, a sign other than minus/plus and a window outside
     [1, MAX_WINDOW].
     """
 
@@ -213,10 +184,17 @@ class RelaxedWindow:
         return (n0,) if n0 else _ZERO
 
     def _den(self, gen: str) -> int:
-        """The denominator D of gen's table."""
+        """The denominator D of gen's entries."""
         if gen == "h":
             return self.lam.d
         return 1 if (gen == "e") == (self.sign == "minus") else self._string_ints[3]
+
+    def _span(self, gen: str) -> range:
+        """The indices where gen has an entry.  e has none at N and f none
+        at -N: their images would leave the window, so a missing entry is
+        the truncation."""
+        n = self.window
+        return {"h": range(-n, n + 1), "e": range(-n, n), "f": range(-n + 1, n + 1)}[gen]
 
     def _entry(self, gen: str, i: int) -> Poly:
         """The coefficient of gen at index i times D = _den(gen): X = p + 2id
@@ -230,92 +208,86 @@ class RelaxedWindow:
             return (a,) if a else _ZERO
         if (gen == "e") == (self.sign == "minus"):
             return _ONE
-        s = 1 if gen == "e" else -1
+        s = _SHIFT[gen]
         return self._string_coeff(lam.p + 2 * (i + s) * lam.d, s)
 
-    def _x(self, i: int) -> Poly:
-        """lam + 2i."""
-        return _over(self._entry("h", i), self.lam.d)
-
-    def up_coeff(self, i: int) -> Poly:
-        """Coefficient of e: v_i -> v_{i+1}."""
-        return _over(self._entry("e", i), self._den("e"))
-
-    def down_coeff(self, i: int) -> Poly:
-        """Coefficient of f: v_i -> v_{i-1}."""
-        return _over(self._entry("f", i), self._den("f"))
-
     @cached_property
-    def _tables(self) -> Dict[str, Table]:
-        """Generator -> its table.  e has no entry at N and f none at -N:
-        their images would leave the window, so a missing entry is the
-        truncation."""
-        n = self.window
-        spans = {"h": (range(-n, n + 1), 0), "e": (range(-n, n), 1), "f": (range(-n + 1, n + 1), -1)}
-        return {
-            gen: ({i: self._entry(gen, i) for i in span}, shift, self._den(gen))
-            for gen, (span, shift) in spans.items()
-        }
+    def _tables(self) -> Dict[str, List[List[int]]]:
+        """Generator -> one int table per point w = 0, ..., 2m: the values
+        of its entries over _span(gen), index i at position i - start.
+
+        A first pass reads m off the entries; then the columns of polys are
+        built and evaluated one generator at a time.  The Casimir scalar is
+        no entry, so a w-part in it asks for 2 points on its own."""
+        m = max(len(self._entry(gen, i)) for gen in _SHIFT for i in self._span(gen)) - 1
+        points = range(max(2 * m + 1, 2 if self.casimir.q else 1))
+        tables: Dict[str, List[List[int]]] = {}
+        for gen in _SHIFT:
+            column = [self._entry(gen, i) for i in self._span(gen)]
+            tables[gen] = [[_at(p, t) for p in column] for t in points]
+        return tables
 
     def act(self, gen: str, vec: Vec) -> Vec:
-        if gen not in ("h", "e", "f"):
+        """gen applied to vec: each coefficient from _entry, divided by D."""
+        if gen not in _SHIFT:
             raise ValueError(f"unknown generator {gen!r}")
-        entries, shift, den = self._tables[gen]
+        span, shift, den = self._span(gen), _SHIFT[gen], self._den(gen)
         out: Vec = {}
         for i, p in vec.items():
-            c = entries.get(i)
-            if c is None:
+            if i not in span:
                 continue
-            q = _pmul(p, c)
+            q = _pmul(p, self._entry(gen, i))
             if q:
                 j = i + shift
                 out[j] = _padd(out.get(j, _ZERO), q)
-        return {i: _over(p, den) for i, p in out.items() if p}
+        return {i: tuple([Fraction(c, den) for c in p]) for i, p in out.items() if p}
 
     def interior(self) -> range:
         return range(-self.window + 1, self.window)
 
-    def _commutator_is(self, a: Table, b: Table, scale: int, c: Table) -> bool:
-        """[a, b] = scale * c on every interior index, for the int tables
-        A, B, C over D_a, D_b, D_c: (AB - BA) D_c = scale C D_a D_b."""
-        ab, shift, dab = _compose(a, b)
-        ba = _compose(b, a)[0]
-        target, target_shift, dc = c
-        if shift != target_shift:
-            return False
-        k = scale * dab
-        for i in self.interior():
-            if _pscale(_psub(ab[i], ba[i]), dc) != _pscale(target[i], k):
-                return False
-        return True
-
     def check_brackets(self) -> bool:
-        """[e,f] = h, [h,e] = 2e, [h,f] = -2f on every interior index."""
+        """[e,f] = h, [h,e] = 2e, [h,f] = -2f on every interior index.
+
+        At interior index i and each point, with the ints E, F, H over
+        D_e, D_f, D_h, each relation [a, b] = s*c reads
+        (AB - BA) D_c = s C D_a D_b on the coefficients of the image of v_i:
+        (F_i E_{i-1} - E_i F_{i+1}) D_h = H_i D_e D_f,
+        (E_i H_{i+1} - H_i E_i) D_e = 2 E_i D_h D_e and
+        (F_i H_{i-1} - H_i F_i) D_f = -2 F_i D_h D_f.
+        """
         t = self._tables
-        h, e, f = t["h"], t["e"], t["f"]
-        return (
-            self._commutator_is(e, f, 1, h)
-            and self._commutator_is(h, e, 2, e)
-            and self._commutator_is(h, f, -2, f)
-        )
+        dh, de, df = self._den("h"), self._den("e"), self._den("f")
+        k_ef, k_he, k_hf = de * df, 2 * dh * de, -2 * dh * df
+        for h, e, f in zip(t["h"], t["e"], t["f"]):
+            # e[k] is E_{i-1}, f[k] is F_i and h[k] is H_{i-1} for i = k - N + 1
+            rows = zip(h, islice(h, 1, None), islice(h, 2, None), e, islice(e, 1, None), f, islice(f, 1, None))
+            for h0, h1, h2, e0, e1, f0, f1 in rows:
+                if (
+                    (f0 * e0 - e1 * f1) * dh != h1 * k_ef
+                    or (e1 * h2 - h1 * e1) * de != e1 * k_he
+                    or (f0 * h0 - h1 * f0) * df != f0 * k_hf
+                ):
+                    return False
+        return True
 
     def check_casimir(self) -> bool:
         """2ef + h(h-2)/2 acts as the Casimir scalar on interior indices.
 
-        On the int tables E, F, H over D_e, D_f, D_h and
+        At each point, on the ints E, F, H over D_e, D_f, D_h and
         C = (p_C + q_C*w)/d_C, times 2 D_e D_f D_h^2 d_C:
-        4 d_C D_h^2 EF + d_C D_e D_f H(H - 2 D_h) = 2 D_e D_f D_h^2 (p_C + q_C*w).
+        4 d_C D_h^2 F_i E_{i-1} + d_C D_e D_f H_i(H_i - 2 D_h)
+        = 2 D_e D_f D_h^2 (p_C + q_C*w).
         """
         t = self._tables
-        (diag, _, dh), (_, _, de), (_, _, df) = t["h"], t["e"], t["f"]
-        ef = _compose(t["e"], t["f"])[0]
+        dh, de, df = self._den("h"), self._den("e"), self._den("f")
         c = self.casimir
-        k_ef, k_h = 4 * c.d * dh * dh, c.d * de * df
-        target = _pscale(_trim([c.p, c.q]), 2 * de * df * dh * dh)
-        for i in self.interior():
-            x = diag[i]
-            if _padd(_pscale(ef[i], k_ef), _pscale(_pmul(x, _shift(x, -2 * dh)), k_h)) != target:
-                return False
+        k_ef, k_h, k_c = 4 * c.d * dh * dh, c.d * de * df, 2 * de * df * dh * dh
+        for w, (h, e, f) in enumerate(zip(t["h"], t["e"], t["f"])):
+            target = k_c * (c.p + c.q * w)
+            # h[1 .. 2N-1] is H_i on the interior, e[k] E_{i-1} and f[k] F_i
+            for h1, e0, f0 in zip(islice(h, 1, 2 * self.window), e, f):
+                if k_ef * f0 * e0 + k_h * h1 * (h1 - 2 * dh) != target:
+                    return False
         return True
 
     def submodule_indices(self, mu: Weight) -> List[int]:
@@ -337,15 +309,21 @@ class RelaxedWindow:
         return [i for i in range(-self.window, self.window + 1) if i >= i0 + 1]
 
     def is_submodule_stable(self, mu: Weight) -> bool:
-        """The D- window span {lam+2i >= mu+2} is e- and f-stable (minus model)."""
+        """The D- window span {lam+2i >= mu+2} is e- and f-stable (minus model).
+
+        The image of v_i under e or f is nonzero iff its entry is: an entry
+        of degree at most m is nonzero iff it is nonzero at one of the 2m + 1
+        tabled points."""
         if self.sign != "minus":
             raise ValueError("the exact-sequence witness applies to the minus model")
         inside = set(self.submodule_indices(mu))
-        for i in inside:
-            for gen in ("e", "f"):
-                image = self.act(gen, {i: _ONE})
-                if any(j not in inside for j in image):
-                    return False
+        t = self._tables
+        for gen in ("e", "f"):
+            span = self._span(gen)
+            for i in inside:
+                if i in span and i + _SHIFT[gen] not in inside:
+                    if any(values[i - span.start] for values in t[gen]):
+                        return False
         return True
 
 

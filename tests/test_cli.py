@@ -221,9 +221,15 @@ def test_negative_option_values_in_the_space_form_are_usage_errors(capsys, argv,
     with pytest.raises(SystemExit) as exc:
         main(argv)
     err = capsys.readouterr().err
-    assert exc.value.code == 2 and "Traceback" not in err
-    errors = [line for line in err.splitlines() if "error:" in line]
-    assert len(errors) == 1 and errors[0].endswith(f"error: argument {option}: expected one argument")
+    assert exc.value.code == 2
+    assert err == f"error: argument {option}: expected one argument\n"
+
+
+def test_a_missing_required_option_is_a_one_line_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fuse", "--level", "5/3", "--lhs", "D+(1,1)"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "error: the following arguments are required: --rhs\n"
 
 
 def test_fuse_typical_pair_has_no_object_line(capsys):

@@ -21,17 +21,35 @@ def c_mu(mu: F) -> F:
     return mu * mu / 2 + mu
 
 
+# The exact value of one coefficient: the window's int entry over its
+# denominator, as Fractions.
+
+def _x(win, i):
+    """lam + 2i."""
+    return tuple(F(c, win._den("h")) for c in win._entry("h", i))
+
+
+def up_coeff(win, i):
+    """Coefficient of e: v_i -> v_{i+1}."""
+    return tuple(F(c, win._den("e")) for c in win._entry("e", i))
+
+
+def down_coeff(win, i):
+    """Coefficient of f: v_i -> v_{i-1}."""
+    return tuple(F(c, win._den("f")) for c in win._entry("f", i))
+
+
 def test_f_coefficient_vanishing():
     # lam = 0, C = 0: the string breaks where lam + 2i - 2 = 0, i.e. i = 1
     win = build_relaxed(0, 0, "minus", 5)
-    assert not win.down_coeff(1)
-    assert win.down_coeff(2)
+    assert not down_coeff(win, 1)
+    assert down_coeff(win, 2)
 
 
 def test_generic_omega_never_breaks():
     win = build_relaxed(OMEGA, 17, "minus", 3)
     for i in range(-3, 4):
-        assert win.down_coeff(i)
+        assert down_coeff(win, i)
     assert reducibility_points(OMEGA, 17, "minus", 3) == []
     assert reducibility_points(OMEGA, F(-5, 7), "plus", 4) == []
 
@@ -152,11 +170,22 @@ def test_act_rejects_unknown_generator():
         build_relaxed(0, 0, "minus", 3).act("x", {})
 
 
-def _corrupt(win, gen, at):
-    """Add 1 to the coefficient of gen at index at: D to its int entry, or an
-    entry D where the table has none."""
-    entries, _, den = win._tables[gen]
-    entries[at] = so._shift(entries.get(at, ()), den)
+def _corrupt(win, gen, at, delta=None):
+    """Add the int poly delta to the entry of gen at index at, before the
+    window's first check, so that its tables and act, and so the reference
+    checks, all see it.  delta defaults to (D,), +1 on the coefficient.
+    Returns the set of (gen, i) that _entry is asked for from then on."""
+    assert "_tables" not in vars(win)
+    entry, reads = win._entry, set()
+    delta = (win._den(gen),) if delta is None else delta
+
+    def corrupted(g, i):
+        reads.add((g, i))
+        p = entry(g, i)
+        return _ref_add(p, delta) if (g, i) == (gen, at) else p
+
+    object.__setattr__(win, "_entry", corrupted)
+    return reads
 
 
 @pytest.mark.parametrize("sign", ["minus", "plus"])
@@ -186,14 +215,15 @@ def test_checks_build_no_fraction(monkeypatch, sign):
     for win in windows:
         assert win.check_brackets()
         assert win.check_casimir()
-        for entries, _, den in win._tables.values():
-            assert type(den) is int
-            assert all(type(c) is int for p in entries.values() for c in p)
+        for gen, tables in win._tables.items():
+            assert type(win._den(gen)) is int
+            assert all(type(v) is int for values in tables for v in values)
 
 
 # Reference for act: each coefficient computed from _x, up_coeff and
 # down_coeff where it is used, with plain polynomial arithmetic and no
-# short-circuits.
+# short-circuits.  The reference checks below apply the relations through
+# act, so they read the coefficients in Q[w], not at evaluation points.
 
 def _ref_trim(cs):
     while cs and cs[-1] == 0:
@@ -225,16 +255,20 @@ def _ref_scale(p, c):
     return _ref_trim([a * c for a in p])
 
 
+def _ref_at(p, t):
+    return sum(c * t**k for k, c in enumerate(p))
+
+
 def reference_act(win, gen, vec):
     out = {}
     n = win.window
     for i, p in vec.items():
         if gen == "h":
-            image = [(i, _ref_mul(p, win._x(i)))]
+            image = [(i, _ref_mul(p, _x(win, i)))]
         elif gen == "e":
-            image = [(i + 1, _ref_mul(p, win.up_coeff(i)))] if i + 1 <= n else []
+            image = [(i + 1, _ref_mul(p, up_coeff(win, i)))] if i + 1 <= n else []
         else:
-            image = [(i - 1, _ref_mul(p, win.down_coeff(i)))] if i - 1 >= -n else []
+            image = [(i - 1, _ref_mul(p, down_coeff(win, i)))] if i - 1 >= -n else []
         for j, q in image:
             if q:
                 out[j] = _ref_add(out.get(j, ()), q)
@@ -312,26 +346,23 @@ def _coef_type(*polys):
 @settings(max_examples=400, deadline=None)
 @given(
     pair=st.sampled_from([int, F]).flatmap(_poly_pairs),
-    r=_trimmed(_coefs[int]),
-    k=st.integers(-3, 3),
     c=st.integers(-2, 2) | _coefs[F],
-    m=st.integers(-3, 3),
+    t=st.integers(0, 6),
 )
-def test_poly_helpers_match_reference_arithmetic(pair, r, k, c, m):
-    # _shift only ever gets int polys, the h entries of the Casimir check
+def test_poly_helpers_match_reference_arithmetic(pair, c, t):
+    # _at only ever gets int polys, the window's entries
     p, q = pair
     results = [
         (so._padd(p, q), _ref_add(p, q), (p, q)),
-        (so._psub(p, q), _ref_sub(p, q), (p, q)),
         (so._pmul(p, q), _ref_mul(p, q), (p, q)),
-        (so._shift(r, k), _ref_add(r, (k,)), (r,)),
         (so._pscale(p, c), _ref_scale(p, c), (p, (c,))),
-        (so._shift((m,) if m else (), -m), (), ()),  # a shift to zero
     ]
     for got, want, operands in results:
-        assert got == want, (p, q, r, k, c, m)
+        assert got == want, (p, q, c)
         assert type(got) is tuple and all(type(a) is _coef_type(*operands) for a in got)
         assert not got or got[-1] != 0
+    if _coef_type(p) is int:
+        assert so._at(p, t) == _ref_at(p, t) and type(so._at(p, t)) is int
 
 
 # generic models: no e or f coefficient vanishes and no h eigenvalue is 1/2
@@ -356,40 +387,74 @@ def test_table_checks_match_act_reference_on_honest_models():
                 assert win.check_casimir() is reference_casimir(win) is True, (lam, cas, sign, n)
 
 
+def _tabled(n):
+    """Generator -> the indices where it has an entry."""
+    return {"e": range(-n, n), "f": range(-n + 1, n + 1), "h": range(-n, n + 1)}
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("sign", ["minus", "plus"])
 def test_table_checks_catch_a_corrupted_entry_at_every_index(sign, n):
     # A +1 on one entry at each index of [-N, N].  Brackets read every table
     # entry; the Casimir check reads e on [-N, N-2], f on [-N+1, N-1] and h
-    # on the interior.  e at N and f at -N are never tabled, and an entry
-    # put there is never read.
+    # on the interior.  e at N and f at -N are never tabled: _entry is never
+    # asked for them, and a corruption put there changes no verdict.
     casimir_reads = {"e": range(-n, n - 1), "f": range(-n + 1, n), "h": range(-n + 1, n)}
-    tabled = {"e": range(-n, n), "f": range(-n + 1, n + 1), "h": range(-n, n + 1)}
+    tabled = _tabled(n)
     for lam, cas in _GENERIC:
         for gen in ("e", "f", "h"):
             for at in range(-n, n + 1):
                 win = build_relaxed(lam, cas, sign, n)
-                assert set(win._tables[gen][0]) == set(tabled[gen])
-                _corrupt(win, gen, at)
+                reads = _corrupt(win, gen, at)
                 case = (lam, cas, gen, at)
                 brackets, casimir = win.check_brackets(), win.check_casimir()
+                assert {i for g, i in reads if g == gen} == set(tabled[gen]), case
+                assert all(len(values) == len(tabled[gen]) for values in win._tables[gen])
                 assert brackets is reference_brackets(win) is (at not in tabled[gen]), case
                 assert casimir is reference_casimir(win) is (at not in casimir_reads[gen]), case
+                assert ("e", n) not in reads and ("f", -n) not in reads, case
+
+
+@pytest.mark.parametrize("j", [1, 2, 3])
+@pytest.mark.parametrize("gen", ["e", "f"])
+@pytest.mark.parametrize("sign", ["minus", "plus"])
+def test_a_pure_w_corruption_is_caught_off_w_0(sign, gen, j):
+    # D*w^j added to one e or f entry is 0 at w = 0, so only the points
+    # w >= 1 can show it.  The rational model's honest entries have degree 0,
+    # and the w-generic one's degree 2 < 3, so the checks see the corruption
+    # only if m is read off the corrupted entries themselves.
+    n = 3
+    casimir_reads = {"e": range(-n, n - 1), "f": range(-n + 1, n)}
+    for lam, cas in (_GENERIC[0], _GENERIC[2]):
+        for at in _tabled(n)[gen]:
+            win = build_relaxed(lam, cas, sign, n)
+            _corrupt(win, gen, at, (0,) * j + (win._den(gen),))
+            case = (lam, cas, at)
+            assert win.check_brackets() is reference_brackets(win) is False, case
+            assert win.check_casimir() is reference_casimir(win) is (at not in casimir_reads[gen]), case
+            # every generator is tabled at the 2m + 1 points, m = j or the honest 2
+            m = max(j, 2 if win.lam.q else 0)
+            assert [len(tables) for tables in win._tables.values()] == [2 * m + 1] * 3, case
 
 
 def test_h_table_is_trimmed_and_exact():
-    # lam + 2i = 0 must be the zero polynomial, not (0,)
+    # lam + 2i = 0 must be the zero polynomial, not (0,); each table holds
+    # the entry's value at its point, w = 0 .. 2m
     for lam in (0, -4, wt(0, 1), F(-7, 3), wt(F(1, 3), F(-1, 2))):
         win = build_relaxed(lam, 0, "minus", 3)
-        entries, shift, den = win._tables["h"]
-        assert shift == 0 and den == win.lam.d
-        for i, p in entries.items():
+        den, tables = win._den("h"), win._tables["h"]
+        assert den == win.lam.d and len(tables) == (5 if win.lam.q else 1)
+        for i in range(-3, 4):
+            p = win._entry("h", i)
             assert not p or p[-1] != 0
             assert all(type(c) is int for c in p)
-            assert tuple(F(c, den) for c in p) == win._x(i) == _ref_add((win.lam.a, win.lam.b), (F(2 * i),))
-    assert build_relaxed(0, 0, "minus", 3)._tables["h"][0][0] == ()
-    assert build_relaxed(-4, 0, "minus", 3)._tables["h"][0][2] == ()
-    assert build_relaxed(wt(0, 1), 0, "minus", 3)._tables["h"][0][0] == (0, 1)
+            assert tuple(F(c, den) for c in p) == _x(win, i) == _ref_add((win.lam.a, win.lam.b), (F(2 * i),))
+            assert [values[i + 3] for values in tables] == [_ref_at(p, t) for t in range(len(tables))]
+    assert build_relaxed(0, 0, "minus", 3)._entry("h", 0) == ()
+    assert build_relaxed(-4, 0, "minus", 3)._entry("h", 2) == ()
+    assert build_relaxed(wt(0, 1), 0, "minus", 3)._entry("h", 0) == (0, 1)
+    # lam = w: H_i = 2i + w, tabled at w = 0 .. 4
+    assert build_relaxed(wt(0, 1), 0, "minus", 3)._tables["h"] == [[2 * i + t for i in range(-3, 4)] for t in range(5)]
 
 
 def _random_poly(r):
@@ -466,6 +531,36 @@ def test_window_relations_and_points_property(lam, cas, sign, n, hit):
     assert reducibility_points(lam, cas, sign, n) == _expected_points(lam, cas, sign, n)
 
 
+def reference_stable(win, mu):
+    """The span {lam + 2i >= mu + 2} is e- and f-stable, through act."""
+    inside = set(win.submodule_indices(mu))
+    return all(set(win.act(gen, {i: (F(1),)})) <= inside for i in inside for gen in ("e", "f"))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    lam=_q_plus_qw,
+    n=st.integers(1, 8),
+    hit=st.integers(-10, 10),
+    shift=st.sampled_from([0, 0, F(1, 2), 1]),
+    i0=st.integers(-8, 7),
+)
+def test_submodule_stability_matches_act_reference(lam, n, hit, shift, i0):
+    # C = C_x + shift for x = lam.a + 2*hit puts a root in the window or
+    # leaves none; the check reads its tables at each reducibility point and
+    # at one drawn mu = lam + 2*i0 in range
+    x = lam.a + 2 * hit
+    cas = wt(c_mu(x) + shift)
+    win = build_relaxed(lam, cas, "minus", n)
+    mus = reducibility_points(lam, cas, "minus", n) + [lam + 2 * max(-n, min(i0, n - 1))]
+    for mu in mus:
+        if mu == lam + 2 * n:  # the span would be empty
+            with pytest.raises(ValueError):
+                win.is_submodule_stable(mu)
+            continue
+        assert win.is_submodule_stable(mu) is reference_stable(win, mu), (lam, cas, n, mu)
+
+
 # Integer relation checks.  Each table holds int entries over one
 # denominator D; these models give lam and C large coprime denominators, so
 # the string side has D = 4 d^2 d_C up to 4 * 10^36.
@@ -485,7 +580,7 @@ def _coprime_models(draw):
 
 
 def _tabled_string_coeffs(win):
-    return [c for gen in ("e", "f") for c in win._tables[gen][0].values()]
+    return [win._entry(gen, i) for gen in ("e", "f") for i in _tabled(win.window)[gen]]
 
 
 def _ref_value(win, gen, i):
@@ -504,14 +599,19 @@ def _ref_value(win, gen, i):
 
 
 def _tables_match_per_call_values(win):
-    """Every table entry is an int poly whose value over its D is the
-    per-call _x, up_coeff or down_coeff, and that is the Fraction value."""
-    per_call = {"h": win._x, "e": win.up_coeff, "f": win.down_coeff}
-    for gen, (entries, shift, den) in win._tables.items():
-        assert shift == {"h": 0, "e": 1, "f": -1}[gen]
-        for i, p in entries.items():
+    """Every entry is an int poly whose value over its D is the per-call
+    _x, up_coeff or down_coeff, and that is the Fraction value; the tables
+    hold its value at w = 0 .. 2m, m the largest degree of an entry."""
+    per_call = {"h": _x, "e": up_coeff, "f": down_coeff}
+    tabled = _tabled(win.window)
+    m = max(len(win._entry(gen, i)) - 1 for gen in tabled for i in tabled[gen])
+    for gen, tables in win._tables.items():
+        assert len(tables) == 2 * m + 1
+        for k, i in enumerate(tabled[gen]):
+            p = win._entry(gen, i)
             assert all(type(n) is int for n in p) and (not p or p[-1])
-            assert tuple(F(n, den) for n in p) == per_call[gen](i) == _ref_value(win, gen, i), (gen, i)
+            assert tuple(F(n, win._den(gen)) for n in p) == per_call[gen](win, i) == _ref_value(win, gen, i), (gen, i)
+            assert [values[k] for values in tables] == [_ref_at(p, t) for t in range(2 * m + 1)], (gen, i)
 
 
 @settings(max_examples=150, deadline=None)
@@ -531,12 +631,11 @@ def test_integer_checks_match_reference_and_catch_a_small_corruption(model, sign
 
     # a +1 on one numerator, +1/D in value; the read sets are those of the
     # corruption test above
-    tabled = {"e": range(-n, n), "f": range(-n + 1, n + 1), "h": range(-n, n + 1)}
+    tabled = _tabled(n)
     casimir_reads = {"e": range(-n, n - 1), "f": range(-n + 1, n), "h": range(-n + 1, n)}
     at = tabled[gen][where % len(tabled[gen])]
     bad = build_relaxed(lam, cas, sign, n)
-    entries = bad._tables[gen][0]
-    entries[at] = so._shift(entries[at], 1)
+    _corrupt(bad, gen, at, (1,))
     brackets, casimir = bad.check_brackets(), bad.check_casimir()
     assert brackets is reference_brackets(bad)
     assert casimir is reference_casimir(bad)
