@@ -23,7 +23,14 @@ the Kac label and reduces lam; only building the label is saved.  Equal
 labels of one level are then one object, so the dict lookups of
 Grothendieck sums and of the restriction and induction memos match them by
 identity and skip the dataclass and Weight equality.  The table holds at
-most A_LABELS_PER_KAC_LABEL labels per Kac label and is cleared when full.
+most label_table_bound(level) labels, A_LABELS_PER_KAC_LABEL per Kac label
+but never fewer than A_LABELS_FLOOR = 1024, and is cleared when full.  The
+floor keeps one fusion product's labels in the table at the small levels:
+an 8-label product at 5/3 builds up to about 380 labels, more than the 256
+that 32 per Kac label allow there, and after a clear in the middle of a
+product its labels are built again as new objects.  Levels with fewer than 32 Kac labels,
+5/3 and 7/4 among them, take the floor; 11/6, 13/8 and every larger level
+keep the Kac-scaled bound.
 
 Each level also keeps the Virasoro channels of every ordered pair of Kac
 labels it has fused, ``AdmissibleLevel.channels``, keyed by (r, s, r', s')
@@ -97,9 +104,17 @@ class SimpleALabel(HashedOnce):
 _set_r, _set_s, _set_flow, _set_lam = slot_setters(SimpleALabel)
 
 
-# The level's label table holds at most this many labels per Kac label and is
-# cleared when full (see the module docstring).
+# The level's label table holds at most this many labels per Kac label, but
+# never fewer than A_LABELS_FLOOR, and is cleared when full (see the module
+# docstring).  The floor is nearly three times the up to 380 labels that one
+# 8-label product at 5/3 builds, so no clear splits such a product.
 A_LABELS_PER_KAC_LABEL = 32
+A_LABELS_FLOOR = 1024
+
+
+def label_table_bound(level: AdmissibleLevel) -> int:
+    """The most labels the level's label table holds before it is cleared."""
+    return max(A_LABELS_PER_KAC_LABEL * (level.u - 1) * (level.v - 1), A_LABELS_FLOOR)
 
 
 def simple_a(level: AdmissibleLevel, r: int, s: int, flow: int, lam) -> SimpleALabel:
@@ -117,7 +132,7 @@ def simple_a(level: AdmissibleLevel, r: int, s: int, flow: int, lam) -> SimpleAL
     table = level.a_labels
     out = table.get(key)
     if out is None:
-        if len(table) >= A_LABELS_PER_KAC_LABEL * (u - 1) * (v - 1):
+        if len(table) >= label_table_bound(level):
             table.clear()
         out = table[key] = SimpleALabel(r, s, flow, lam)
     return out

@@ -5,19 +5,24 @@ each implemented from their own closed forms; these tests replay the
 intermediate identities that connect them (restrictions of fusion products
 with the two nontrivial factors of F(A), the free-field construction of
 both summands of the key product, and the solver on sum-valued classes)
-and require exact agreement.
+and require exact agreement.  The reducible cosets that ``typical`` refuses
+are checked against the reducibility points of the sl2 oracle, which shares
+no code with the labels.
 """
+
+from fractions import Fraction as F
 
 import pytest
 
 from sl2wt import OMEGA, admissible_level, wt
-from sl2wt.arithmetic import lam_rs, nu_rs
+from sl2wt.arithmetic import as_weight, delta_rs, lam_ratio, lam_rs, nu_rs
 from sl2wt import weight_cat as wc
 from sl2wt import local_cat as lc
 from sl2wt import functors as fn
 from sl2wt import fusion as fu
+from sl2wt.sl2_oracle import reducibility_points
 
-from conftest import random_weight, rng
+from conftest import SAMPLE_LEVELS, random_fraction, random_weight, rng
 from test_weight_cat import vacuum_extension
 
 V3_LEVELS = [admissible_level(u, v) for u, v in ((2, 3), (3, 4), (5, 3), (4, 3))]
@@ -175,3 +180,55 @@ def test_tau_hits_every_sampled_simple_local(level):
         res = fn.restrict_simple(level, y)
         socle = res.layers[0][0] if res.tag == "simple" else wc.dminus(level, res.r, res.s, res.flow)
         assert fn.tau(level, socle) == y
+
+
+def _typical_disagreements(level):
+    """The (r, s, lam) at which ``wc.typical`` refusing lam disagrees with the
+    sl2 oracle finding a reducibility point of the minus window of
+    E_{lam; Delta_{r,s}}, whose top space has Casimir 2t*Delta_{r,s}.  lam
+    runs over +-lambda_{r,s}, their shifts by 2, lambda_{r,s} + 1/7 and two
+    seeded rationals."""
+    seeded = rng(level.u * 100 + level.v)
+    out = []
+    for r in range(1, level.u):
+        for s in range(1, level.v):
+            lam, casimir = lam_rs(level, r, s), 2 * level.t * delta_rs(level, r, s)
+            lams = [lam, -lam, lam + 2, lam - 2, -lam + 2, -lam - 2, lam + F(1, 7)]
+            lams += [random_fraction(seeded) for _ in range(2)]
+            for mu in lams:
+                try:
+                    wc.typical(level, r, s, mu)
+                    refused = False
+                except wc.NotSimple:
+                    refused = True
+                if refused != bool(reducibility_points(mu, casimir, "minus", 20)):
+                    out.append((r, s, mu))
+    return out
+
+
+@pytest.mark.parametrize("uv", SAMPLE_LEVELS, ids=lambda uv: f"{uv[0]}-{uv[1]}")
+def test_typical_refuses_where_the_oracle_finds_a_reducibility_point(uv):
+    assert _typical_disagreements(admissible_level(*uv)) == []
+
+
+def _refuses_lambda_plus_one(level, r, s, lam, flow=0):
+    """A wrong ``typical``: it refuses lambda_{r,s} + 1 mod 2Z in place of
+    -lambda_{r,s} mod 2Z."""
+    n, b = lam_ratio(level, r, s)
+    w = as_weight(lam).reduce(2)
+    if w.on_coset(n, b, 2, 1) or w.on_coset(n + b, b, 2, 1):
+        raise wc.NotSimple(f"E({w};{r},{s}) is reducible")
+    r, s = min((r, s), (level.u - r, level.v - s))
+    return wc.SimpleCLabel(flow, r, s, w)
+
+
+@pytest.mark.parametrize("uv", SAMPLE_LEVELS, ids=lambda uv: f"{uv[0]}-{uv[1]}")
+def test_a_typical_refusing_the_wrong_coset_disagrees_with_the_oracle(monkeypatch, uv):
+    monkeypatch.setattr(wc, "typical", _refuses_lambda_plus_one)
+    failures = _typical_disagreements(admissible_level(*uv))
+    if uv[1] == 2:
+        # lambda_{r,1} = r - 1 - u/2 is a half-integer, so lambda + 1 and
+        # -lambda lie on one coset mod 2Z: the mutant is the real code
+        assert failures == []
+    else:
+        assert failures

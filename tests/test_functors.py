@@ -303,3 +303,40 @@ def test_affine_call_sites_match_their_old_expressions(uv):
         assert lc.rigid_dual(level, big_r) == lc.build_R(level, big_r.r, big_r.s, -lam + t, -big_r.flow - 2)
     # lam = w gives a typical sample at every (r, s, flow)
     assert typicals >= len(FLOWS) * (level.u - 1) * (level.v - 1)
+
+
+def _flow_a(level, y, m):
+    """sigma^m of a simple A-label: its flow raised by m."""
+    return lc.simple_a(level, y.r, y.s, y.flow + m, y.lam)
+
+
+def _flow_a_object(level, x, m):
+    """sigma^m of a catalogued A-object: the flow of the object and of every
+    layer label raised by m."""
+    layers = tuple(tuple(_flow_a(level, z, m) for z in layer) for layer in x.layers)
+    return lc.AObject(x.tag, x.r, x.s, x.flow + m, layers)
+
+
+@pytest.mark.parametrize("uv", SAMPLE_LEVELS, ids=lambda uv: f"{uv[0]}-{uv[1]}")
+def test_functors_commute_with_spectral_flow(uv):
+    # restriction, induction and tau at flow m are the flow-0 answer moved
+    # by sigma^m: y on both atypical cosets, at 1/7 and at w; x atypical and
+    # typical at 1/7 and at w
+    level = admissible_level(*uv)
+    u, v = level.u, level.v
+    checked = 0
+    for r in range(1, u):
+        for s in range(1, v):
+            lams = (nu_rs(level, r, s), nu_rs(level, u - r, v - s), F(1, 7), OMEGA)
+            ys = [lc.simple_a(level, r, s, 0, lam) for lam in lams]
+            xs = [wc.atypical(level, r, s, 0), wc.typical(level, r, s, F(1, 7), 0), wc.typical(level, r, s, OMEGA, 0)]
+            for m in (-2, -1, 1, 2):
+                for y in ys:
+                    flowed = fn.restrict_simple(level, _flow_a(level, y, m))
+                    assert flowed == wc.spectral_flow(fn.restrict_simple(level, y), m)
+                for x in xs:
+                    flowed = wc.spectral_flow(x, m)
+                    assert fn.induce_simple(level, flowed) == _flow_a_object(level, fn.induce_simple(level, x), m)
+                    assert fn.tau(level, flowed) == _flow_a(level, fn.tau(level, x), m)
+                checked += len(ys) + 2 * len(xs)
+    assert checked == 40 * (u - 1) * (v - 1)

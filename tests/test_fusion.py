@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sl2wt import OMEGA, Weight, admissible_level, wt
-from sl2wt.arithmetic import DirectSum, lam_rs
+from sl2wt.arithmetic import DirectSum, lam_rs, nu_rs
 from sl2wt import weight_cat as wc
 from sl2wt import local_cat as lc
 from sl2wt import functors as fn
@@ -414,3 +414,44 @@ def test_step2_checks_the_catalogued_R(r_middle_up, uv):
     else:
         assert all(not c.routes_agree for c in checks)
         assert not report.step2.passed and not report.verdict
+
+
+def _projection_samples(level):
+    """The step-2 samples, and at every Kac label and flow -1..1 the simples
+    with lam on both atypical cosets nu_{r,s} and nu_{u-r,v-s}, at 1/7 and at w."""
+    u, v = level.u, level.v
+    out = step2_samples(level)
+    for r in range(1, u):
+        for s in range(1, v):
+            for flow in (-1, 0, 1):
+                for lam in (nu_rs(level, r, s), nu_rs(level, u - r, v - s), F(1, 7), OMEGA):
+                    out.append(lc.simple_a(level, r, s, flow, lam))
+    return out
+
+
+def _projection_failures(level):
+    """The simples y of Rep A at which the projection formula
+    [F(Res y)] = [y]*[N], N = F(A), fails.  The left side runs through
+    restriction, induction and the catalogued R and M, the right side through
+    the fusion ring alone."""
+    vacuum = fu._vacuum_class(level)
+    return [
+        y
+        for y in _projection_samples(level)
+        if fn.groth_F(level, wc.comp_factors(level, fn.restrict_simple(level, y)))
+        != lc.a_class(level, y) * vacuum
+    ]
+
+
+@pytest.mark.parametrize("uv", SAMPLE_LEVELS, ids=lambda uv: f"{uv[0]}-{uv[1]}")
+def test_projection_formula_on_the_catalogued_objects(uv):
+    assert _projection_failures(admissible_level(*uv)) == []
+
+
+@pytest.mark.parametrize("uv", SAMPLE_LEVELS, ids=lambda uv: f"{uv[0]}-{uv[1]}")
+def test_projection_formula_fails_a_wrong_middle_layer_of_R(r_middle_up, uv):
+    failures = _projection_failures(admissible_level(*uv))
+    if uv[1] == 2:  # no middle layer: the mutant is the real code
+        assert failures == []
+    else:
+        assert failures

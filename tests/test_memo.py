@@ -2,18 +2,19 @@
 
 ``local_cat.simple_a`` hands out each simple A-label from a table per level,
 and ``functors.restrict_simple`` memoizes into another; both are bounded by
-the level's Kac table and cleared when full.  ``local_cat.vir_fuse`` keeps
-the Virasoro channels of each ordered pair of Kac labels in a third table
-per level, which the Kac table bounds.  ``fusion`` keeps the class of F(A)
-in the level's memo, and ``functors.induce_simple`` has a per-process memo.
-A memo must give the unmemoized answer on a miss and on a hit, the shared
-F(A) class must survive a pipeline run unchanged, one level's table must not
-evict another's or hand out its labels, a full table must not change a
-run's output, a copied level must start with empty tables, a warm label or
-channel table must still refuse every argument a cold one refuses, equal
-labels of one level must come back as one object, a caller may change the
-channel list it was given, and no memo may carry a step-2 route's result
-from one run into the next.
+the level's Kac table and cleared when full, the label table with a floor of
+1024 labels, so that no clear splits one large fusion product.
+``local_cat.vir_fuse`` keeps the Virasoro channels of each ordered pair of
+Kac labels in a third table per level, which the Kac table bounds.
+``fusion`` keeps the class of F(A) in the level's memo, and
+``functors.induce_simple`` has a per-process memo.  A memo must give the
+unmemoized answer on a miss and on a hit, the shared F(A) class must survive
+a pipeline run unchanged, one level's table must not evict another's or hand
+out its labels, a full table must not change a run's output, a copied level
+must start with empty tables, a warm label or channel table must still
+refuse every argument a cold one refuses, equal labels of one level must
+come back as one object, a caller may change the channel list it was given,
+and no memo may carry a step-2 route's result from one run into the next.
 """
 
 import copy
@@ -28,6 +29,7 @@ from sl2wt.arithmetic import as_weight, check_rs, nu_rs
 from sl2wt import local_cat as lc
 from sl2wt import functors as fn
 from sl2wt import fusion as fu
+from sl2wt import weight_cat as wc
 from sl2wt.pipeline import expected_vacuum_factors, run_pipeline
 
 from conftest import TEST_LEVELS, random_fraction, random_weight, rng
@@ -275,14 +277,41 @@ def test_a_run_past_the_label_bound_keeps_the_table_bounded(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(lc, "A_LABELS_PER_KAC_LABEL", 10**9)
         expected = run_pipeline(unbounded, flows).to_json()
-    bound = lc.A_LABELS_PER_KAC_LABEL * 4 * 2
-    assert len(unbounded.a_labels) > bound  # this run would fill the table
     lv = admissible_level(5, 3)
+    bound = lc.label_table_bound(lv)
+    assert len(unbounded.a_labels) > bound  # this run would fill the table
     table = lv.__dict__["a_labels"] = _RecordingTable()
     assert lv.a_labels is table
     assert run_pipeline(lv, flows).to_json() == expected
     assert 0 < table.largest <= bound
     assert table.clears > 1  # the table was cleared on the way
+
+
+def test_the_label_bound_has_a_floor(monkeypatch):
+    # 32 per Kac label, but never fewer than 1024 labels: of the levels the
+    # benchmark fuses at, 5/3 and 7/4 take the floor; both constants are read
+    # at call time, so a test may patch either
+    bounds = {uv: lc.label_table_bound(admissible_level(*uv)) for uv in ((5, 3), (7, 4), (11, 6), (13, 8))}
+    assert bounds == {(5, 3): 1024, (7, 4): 1024, (11, 6): 1600, (13, 8): 2688}
+    lv = admissible_level(5, 3)
+    monkeypatch.setattr(lc, "A_LABELS_FLOOR", 0)
+    assert lc.label_table_bound(lv) == 256
+    monkeypatch.setattr(lc, "A_LABELS_PER_KAC_LABEL", 10**9)
+    assert lc.label_table_bound(lv) == 8 * 10**9
+
+
+def test_one_large_product_keeps_its_labels_in_the_table():
+    # one 8-label product at 5/3 builds more labels than 32 per Kac label
+    # allow there; the floor keeps them all, so no clear splits the product
+    # and every label of the result's induced class is the table's instance
+    lv = admissible_level(5, 3)
+    table = lv.__dict__["a_labels"] = _RecordingTable()
+    r = rng(4)  # a product that builds 373 labels
+    x, y = (wc.GrothC.of(*(random_label(lv, r) for _ in range(8))) for _ in range(2))
+    fn.induce_simple.cache_clear()  # no induced object of another 5/3 level
+    got = fu.groth_fuse_C(lv, x, y)
+    assert table.clears == 0 and table.largest > lc.A_LABELS_PER_KAC_LABEL * 4 * 2
+    assert all(table[_key(z)] is z for z in fn.groth_F(lv, got).support())
 
 
 def test_interleaved_levels_keep_their_own_label_tables():
