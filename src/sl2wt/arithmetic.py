@@ -384,9 +384,10 @@ class AdmissibleLevel:
         return Weight(2 * self.v - self.u, 0, self.v)
 
     # The memos of the layers above that depend on the level live on it: the
-    # simple A-labels built, the Virasoro fusion channels computed, the
-    # restrictions computed and the class of F(A).  They die with the level,
-    # and a hit hashes only its key, never the level.
+    # simple A-labels built, the Virasoro fusion channels computed, R's layers
+    # and the M objects built, the restrictions computed and the class of
+    # F(A).  They die with the level, and a hit hashes only its key, never the
+    # level.
     @cached_property
     def a_labels(self) -> Dict[Tuple[int, ...], object]:
         """The simple A-label built at this level for each canonical integer
@@ -399,6 +400,16 @@ class AdmissibleLevel:
         """The Virasoro fusion channels of each ordered pair of Kac labels
         (r, s, r', s') fused at this level so far; ``local_cat.vir_fuse``
         fills it, at most ((u-1)(v-1))^2 entries."""
+        return {}
+
+    @cached_property
+    def covers(self) -> Dict[object, Tuple[tuple, ...]]:
+        """The layers of R(y) under each top label y; see ``local_cat.r_layers``."""
+        return {}
+
+    @cached_property
+    def images(self) -> Dict[Tuple[int, int, int], object]:
+        """M[r,s]@flow under each (r, s, flow); see ``local_cat.build_M``."""
         return {}
 
     @cached_property

@@ -37,6 +37,14 @@ labels it has fused, ``AdmissibleLevel.channels``, keyed by (r, s, r', s')
 as vir_fuse was given them.  Every vir_fuse call still checks both Kac
 labels, and each returns a fresh list.  The Kac table bounds the table at
 ((u-1)(v-1))^2 entries, so it is never cleared.
+
+A pipeline run asks for each R and each M about twice (step 2 checks each
+folded typical twice, and step 3's squares share tops with step 2), so each
+level keeps R's layers under the top label, ``AdmissibleLevel.covers``, and
+each M[r,s]@flow under (r, s, flow) after build_M's checks,
+``AdmissibleLevel.images``.  Both are cleared with the label table and keep
+an entry only if its top is still the table's instance once built, so they
+hold only the table's instances and never more entries than it.
 """
 
 from __future__ import annotations
@@ -134,6 +142,8 @@ def simple_a(level: AdmissibleLevel, r: int, s: int, flow: int, lam) -> SimpleAL
     if out is None:
         if len(table) >= label_table_bound(level):
             table.clear()
+            level.covers.clear()
+            level.images.clear()
         out = table[key] = SimpleALabel(r, s, flow, lam)
     return out
 
@@ -254,7 +264,22 @@ def r_layers(level: AdmissibleLevel, y: SimpleALabel) -> Tuple[tuple, ...]:
     y = (r,s,l,lam), top first, a diamond: top y, middle (r,s-+1,l+1,lam-t/2),
     bottom (r,s,l+2,lam-t), middle entries with Kac s-component 0 or v
     dropped, so that for v = 2 there is no middle layer.  build_R and the
-    direct route of pipeline step 2 both take R's layers from here."""
+    direct route of pipeline step 2 both take R's layers from here, derived
+    once per top in ``level.covers``."""
+    table = level.covers
+    out = table.get(y)
+    if out is None:
+        out = _r_layers(level, y)
+        # kept only if y is still the label table's instance: a clear since y
+        # was built would leave labels of out outside the table
+        lam = y.lam
+        if level.a_labels.get((y.r, y.s, y.flow, lam.p, lam.q, lam.d)) is y:
+            table[y] = out
+    return out
+
+
+def _r_layers(level: AdmissibleLevel, y: SimpleALabel) -> Tuple[tuple, ...]:
+    """r_layers without its table."""
     r, s, flow, lam = y.r, y.s, y.flow, y.lam
     w_mid = lam - level.half_t
     mid = [simple_a(level, r, s2, flow + 1, w_mid) for s2 in (s - 1, s + 1) if 0 < s2 < level.v]
@@ -281,8 +306,25 @@ def build_M(level: AdmissibleLevel, r: int, s: int, flow: int) -> AObject:
     Constituents with Virasoro s-component 0 or v are dropped, so the
     boundary cases are simple: M[r,1] = M(r,1) x Pi_flow(nu_{r,1}) and
     M[r,v] = M(r,v-1) x Pi_{flow+1}(nu_{r,v+1}) = M(u-r,1) x Pi_{flow+1}(nu_{u-r,1}).
+    Every call checks (r, s) and the flow, then reads ``level.images``.
     """
     check_rs(level, r, s, 1, level.v)
+    check_flow(flow)
+    key = (r, s, flow)
+    table = level.images
+    out = table.get(key)
+    if out is None:
+        out = _build_M(level, r, s, flow)
+        # kept only if its top, built first, is still the table's instance
+        top = out.layers[0][0]
+        lam = top.lam
+        if level.a_labels.get((top.r, top.s, top.flow, lam.p, lam.q, lam.d)) is top:
+            table[key] = out
+    return out
+
+
+def _build_M(level: AdmissibleLevel, r: int, s: int, flow: int) -> AObject:
+    """build_M without its checks and its table; the top is built first."""
     if s == 1:
         return a_simple(simple_a(level, r, 1, flow, nu_weight(level, r, 1)))
     if s == level.v:

@@ -1,3 +1,4 @@
+import contextlib
 import random
 from fractions import Fraction
 
@@ -58,13 +59,10 @@ def step2_samples(level):
     return out
 
 
-@pytest.fixture
-def r_middle_up(monkeypatch):
-    """A mutant of the projective covers R: ``local_cat.r_layers`` patched so
-    that R's middle layer sits at lam + t/2 instead of lam - t/2.  The
-    induction memo is cleared once the mutant is in and again once it is out.
-    For v = 2, R has no middle layer, so there the mutant is the real code."""
-    real = lc.r_layers
+def _middle_up(real):
+    """R's middle layer at lam + t/2 instead of lam - t/2, over the real
+    ``local_cat.r_layers``.  For v = 2, R has no middle layer, so there the
+    mutant is the real code."""
 
     def middle_up(level, y):
         layers = real(level, y)
@@ -73,8 +71,48 @@ def r_middle_up(monkeypatch):
         top, mid, bot = layers
         return top, tuple(lc.simple_a(level, z.r, z.s, z.flow, z.lam + level.t) for z in mid), bot
 
-    monkeypatch.setattr(lc, "r_layers", middle_up)
-    fn.induce_simple.cache_clear()
-    yield
-    monkeypatch.undo()
-    fn.induce_simple.cache_clear()
+    return middle_up
+
+
+def _socle_flow_up(real):
+    """M's socle one flow up, over the real ``local_cat.build_M``.  For
+    v = 2, every M is simple, so there the mutant is the real code."""
+
+    def socle_flow_up(level, r, s, flow):
+        m = real(level, r, s, flow)
+        if m.tag != "M":
+            return m
+        top, (bot,) = m.layers
+        return lc.AObject("M", m.r, m.s, m.flow, (top, (lc.simple_a(level, bot.r, bot.s, bot.flow + 1, bot.lam),)))
+
+    return socle_flow_up
+
+
+# name -> (module, function, the mutant built from the real function)
+MUTANTS = {
+    "r_middle_up": (lc, "r_layers", _middle_up),
+    "m_socle_flow_up": (lc, "build_M", _socle_flow_up),
+}
+
+
+@contextlib.contextmanager
+def mutant(name):
+    """The named entry of MUTANTS patched in for the body of the with block.
+    The patch replaces the function by its module name, which every caller
+    reads, so a level's warm tables cannot hide it.  The induction memo is
+    cleared once the mutant is in and again once it is out."""
+    module, attr, make = MUTANTS[name]
+    try:
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(module, attr, make(getattr(module, attr)))
+            fn.induce_simple.cache_clear()
+            yield
+    finally:
+        fn.induce_simple.cache_clear()
+
+
+@pytest.fixture
+def r_middle_up():
+    """R's middle-layer mutant (see _middle_up) for the whole test."""
+    with mutant("r_middle_up"):
+        yield

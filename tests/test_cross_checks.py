@@ -5,8 +5,9 @@ each implemented from their own closed forms; these tests replay the
 intermediate identities that connect them (restrictions of fusion products
 with the two nontrivial factors of F(A), the free-field construction of
 both summands of the key product, and the solver on sum-valued classes)
-and require exact agreement.  The reducible cosets that ``typical`` refuses
-are checked against the reducibility points of the sl2 oracle, which shares
+and require exact agreement.  The reducible cosets that ``typical`` refuses,
+and the socle that ``eminus`` catalogues, are checked against the
+reducibility points and the submodule spans of the sl2 oracle, which shares
 no code with the labels.
 """
 
@@ -20,7 +21,7 @@ from sl2wt import weight_cat as wc
 from sl2wt import local_cat as lc
 from sl2wt import functors as fn
 from sl2wt import fusion as fu
-from sl2wt.sl2_oracle import reducibility_points
+from sl2wt.sl2_oracle import build_relaxed, reducibility_points
 
 from conftest import SAMPLE_LEVELS, random_fraction, random_weight, rng
 from test_weight_cat import vacuum_extension
@@ -232,3 +233,43 @@ def test_a_typical_refusing_the_wrong_coset_disagrees_with_the_oracle(monkeypatc
         assert failures == []
     else:
         assert failures
+
+
+def _eminus_socle_disagreements(level):
+    """The Kac labels (r, s) at which the oracle and the catalogue disagree
+    on the socle of E-_{r,s}.  The minus window of N = 12 at
+    lam = -lambda_{r,s} with Casimir 2t*Delta_{r,s} has the one reducibility
+    point mu = lam - 2, and its span {lam + 2i >= mu + 2} is e- and
+    f-stable: the submodule is bounded below, so it is D-_{r,s}, and the
+    socle that ``wc.eminus(level, r, s, 0)`` catalogues must be
+    ``wc.dminus(level, r, s, 0)``."""
+    out = []
+    for r in range(1, level.u):
+        for s in range(1, level.v):
+            lam, casimir = -lam_rs(level, r, s), 2 * level.t * delta_rs(level, r, s)
+            mu = as_weight(lam - 2)
+            window = build_relaxed(lam, casimir, "minus", 12)
+            bounded_below = reducibility_points(lam, casimir, "minus", 12) == [mu] and window.is_submodule_stable(mu)
+            if not bounded_below or wc.eminus(level, r, s, 0).layers[-1] != (wc.dminus(level, r, s, 0),):
+                out.append((r, s))
+    return out
+
+
+@pytest.mark.parametrize("uv", SAMPLE_LEVELS, ids=lambda uv: f"{uv[0]}-{uv[1]}")
+def test_the_socle_of_e_minus_is_the_submodule_the_oracle_bounds_below(uv):
+    assert _eminus_socle_disagreements(admissible_level(*uv)) == []
+
+
+@pytest.mark.parametrize("uv", SAMPLE_LEVELS, ids=lambda uv: f"{uv[0]}-{uv[1]}")
+def test_an_e_minus_with_top_and_socle_swapped_disagrees_with_the_oracle(monkeypatch, uv):
+    # this mutant passes the pipeline's verdict at every level probed
+    real = wc.eminus
+
+    def swapped(level, r, s, flow=0):
+        x = real(level, r, s, flow)
+        return wc.CObject("E-", r, s, flow, x.layers[::-1])
+
+    monkeypatch.setattr(wc, "eminus", swapped)
+    lv = admissible_level(*uv)
+    kac = [(r, s) for r in range(1, lv.u) for s in range(1, lv.v)]
+    assert _eminus_socle_disagreements(lv) == kac

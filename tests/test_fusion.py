@@ -12,7 +12,7 @@ from sl2wt import functors as fn
 from sl2wt import fusion as fu
 from sl2wt.pipeline import run_pipeline
 
-from conftest import SAMPLE_LEVELS, TEST_LEVELS, map_labels, random_weight, rng, step2_samples
+from conftest import SAMPLE_LEVELS, TEST_LEVELS, map_labels, mutant, random_weight, rng, step2_samples
 from test_weight_cat import random_label
 
 
@@ -416,6 +416,19 @@ def test_step2_checks_the_catalogued_R(r_middle_up, uv):
         assert not report.step2.passed and not report.verdict
 
 
+@pytest.mark.parametrize("uv", [uv for uv in SAMPLE_LEVELS if uv[1] >= 3], ids=lambda uv: f"{uv[0]}-{uv[1]}")
+def test_step2_checks_the_catalogued_R_on_a_warm_level(uv):
+    # a run fills the level's tables of R's layers and restrictions; the
+    # mutant patched in after it must still reach the second run's step 2
+    lv = admissible_level(*uv)
+    assert run_pipeline(lv).verdict and lv.restrictions
+    with mutant("r_middle_up"):
+        report = run_pipeline(lv)
+    checks = report.step2.typical_multiplicity_checks + report.step2.atypical_multiplicity_checks
+    assert checks and all(not c.routes_agree for c in checks)
+    assert not report.step2.passed and not report.verdict
+
+
 def _projection_samples(level):
     """The step-2 samples, and at every Kac label and flow -1..1 the simples
     with lam on both atypical cosets nu_{r,s} and nu_{u-r,v-s}, at 1/7 and at w."""
@@ -455,3 +468,17 @@ def test_projection_formula_fails_a_wrong_middle_layer_of_R(r_middle_up, uv):
         assert failures == []
     else:
         assert failures
+
+
+@pytest.mark.parametrize("uv", SAMPLE_LEVELS, ids=lambda uv: f"{uv[0]}-{uv[1]}")
+def test_projection_formula_fails_a_socle_of_M_one_flow_up(uv):
+    # on a fresh level, and on one whose table of M objects a real pass of
+    # the check has filled
+    fresh, warm = admissible_level(*uv), admissible_level(*uv)
+    assert _projection_failures(warm) == [] and warm.images
+    with mutant("m_socle_flow_up"):
+        failures = [_projection_failures(lv) for lv in (fresh, warm)]
+    if uv[1] == 2:  # every M is simple: the mutant is the real code
+        assert failures == [[], []]
+    else:
+        assert all(failures)

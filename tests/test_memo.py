@@ -6,12 +6,15 @@ the level's Kac table and cleared when full, the label table with a floor of
 1024 labels, so that no clear splits one large fusion product.
 ``local_cat.vir_fuse`` keeps the Virasoro channels of each ordered pair of
 Kac labels in a third table per level, which the Kac table bounds.
+``local_cat.r_layers`` keeps R's layers under the top label and
+``local_cat.build_M`` each M object under (r, s, flow), in two more tables
+per level that are cleared with the label table and hold only its instances.
 ``fusion`` keeps the class of F(A) in the level's memo, and
 ``functors.induce_simple`` has a per-process memo.  A memo must give the
 unmemoized answer on a miss and on a hit, the shared F(A) class must survive
 a pipeline run unchanged, one level's table must not evict another's or hand
 out its labels, a full table must not change a run's output, a copied level
-must start with empty tables, a warm label or channel table must still
+must start with empty tables, a warm label, channel or M table must still
 refuse every argument a cold one refuses, equal labels of one level must
 come back as one object, a caller may change the channel list it was given,
 and no memo may carry a step-2 route's result from one run into the next.
@@ -114,9 +117,11 @@ def test_interleaved_levels_keep_their_own_tables():
 def test_a_copied_level_starts_with_empty_tables():
     lv = admissible_level(5, 3)
     assert run_pipeline(lv).verdict and lv.restrictions and lv.memo
+    assert lv.covers and lv.images
     for twin in (pickle.loads(pickle.dumps(lv)), copy.copy(lv), copy.deepcopy(lv)):
         assert twin == lv and hash(twin) == hash(lv)
         assert not twin.restrictions and not twin.memo
+        assert not twin.covers and not twin.images
 
 
 def test_a_run_past_the_bound_keeps_the_table_bounded(monkeypatch):
@@ -432,3 +437,144 @@ def test_corrupted_channels_fail_step2_after_a_warm_channel_table(monkeypatch):
     assert not report.step2.passed
     assert not report.verdict
     assert lv.channels == warm  # the patched function wrote nothing
+
+
+def _middle_count(level, y) -> int:
+    """How many labels the middle layer of R(y) has: s -+ 1 at 0 or v drops."""
+    return sum(0 < s2 < level.v for s2 in (y.s - 1, y.s + 1))
+
+
+@pytest.mark.parametrize("uv", MEMO_LEVELS, ids=lambda uv: f"{uv[0]}-{uv[1]}")
+def test_cover_table_is_transparent(uv):
+    lv = admissible_level(*uv)
+    labels = _random_labels(lv, seed=uv[0] * 100 + uv[1] + 5)
+    # no middle layer at v = 2, one at s = 1 or v - 1, two in between
+    assert {_middle_count(lv, y) for y in labels} == ({0} if lv.v == 2 else {1} if lv.v == 3 else {1, 2})
+    for y in labels:
+        fresh = lc._r_layers(lv, y)
+        got = lc.r_layers(lv, y)  # miss or hit
+        assert got == fresh and got[0] == (y,) and lv.covers[y] is got
+        assert lc.r_layers(lv, y) is got  # hit
+    assert set(lv.covers) == set(labels)
+
+
+@pytest.mark.parametrize("uv", MEMO_LEVELS, ids=lambda uv: f"{uv[0]}-{uv[1]}")
+def test_image_table_is_transparent(uv):
+    lv = admissible_level(*uv)
+    r = rng(uv[0] * 100 + uv[1] + 6)
+    keys = [(r.randint(1, lv.u - 1), r.randint(1, lv.v), r.randint(-3, 3)) for _ in range(40)]
+    # s = 1 and s = v give simples, and 1 < s < v, at v >= 3, two layers
+    shapes = {"simple" if s in (1, lv.v) else "two layers" for _, s, _ in keys}
+    assert {1, lv.v} <= {s for _, s, _ in keys}
+    assert shapes == ({"simple"} if lv.v == 2 else {"simple", "two layers"})
+    for key in keys:
+        fresh = lc._build_M(lv, *key)
+        got = lc.build_M(lv, *key)  # miss or hit
+        assert got == fresh and lv.images[key] is got
+        assert lc.build_M(lv, *key) is got  # hit
+    assert set(lv.images) == set(keys)
+
+
+def test_a_warm_image_table_still_refuses_bad_arguments():
+    lv = admissible_level(5, 3)
+    assert run_pipeline(lv).verdict
+    assert (1, 2, 1) in lv.images  # M[1,2]@1, a summand of F(A)
+    cold = admissible_level(5, 3)
+    # True and 1.0 equal 1 and hash as 1, so they would find M[1,2]@1
+    bad = [(1, 2, True), (1, 2, 1.0), (1, 2, 0.5), (1, 2, F(1, 2)), (1, 2, "1")]
+    bad += [(True, 2, 1), (1.0, 2, 1), (1, True, 1), (1, 2.0, 1)]
+    bad += [(1, 0, 1), (1, 4, 1), (1, -1, 1), (0, 2, 1), (5, 2, 1)]  # s outside 1..v, r outside 1..u-1
+    for args in bad:
+        with pytest.raises(ValueError) as refused:
+            lc.build_M(cold, *args)
+        with pytest.raises(type(refused.value), match=re.escape(str(refused.value))):
+            lc.build_M(lv, *args)
+    assert not cold.images and not cold.a_labels
+
+
+def _only_table_labels(level) -> None:
+    """Every label in the level's cover and image tables is the label
+    table's instance, and neither table holds more entries than it."""
+    table = level.a_labels
+    objects = [*level.covers.values(), *(m.layers for m in level.images.values())]
+    assert all(table[_key(z)] is z for layers in objects for layer in layers for z in layer)
+    assert len(level.covers) <= len(table) and len(level.images) <= len(table)
+
+
+class _WatchedTable(_RecordingTable):
+    """A label table that checks the tables cleared with it: just before
+    each clear they hold only its instances, and whenever it takes a label
+    while empty they are empty too.  It records the most entries each held
+    at a clear."""
+
+    def __init__(self, level):
+        super().__init__()
+        self.level = level
+        self.covers = self.images = 0
+
+    def __setitem__(self, key, value):
+        if not self:
+            assert not self.level.covers and not self.level.images
+        super().__setitem__(key, value)
+
+    def clear(self):
+        _only_table_labels(self.level)
+        self.covers = max(self.covers, len(self.level.covers))
+        self.images = max(self.images, len(self.level.images))
+        super().clear()
+
+
+@pytest.mark.parametrize("uv", [(5, 3), (13, 8)], ids=lambda uv: f"{uv[0]}-{uv[1]}")
+def test_cover_and_image_tables_clear_with_the_label_table(monkeypatch, uv):
+    flows = range(-3, 3)
+    expected = run_pipeline(admissible_level(*uv), flows).to_json()
+    # 4 labels per Kac label and no floor: 32 labels at 5/3, 336 at 13/8
+    monkeypatch.setattr(lc, "A_LABELS_FLOOR", 0)
+    monkeypatch.setattr(lc, "A_LABELS_PER_KAC_LABEL", 4)
+    lv = admissible_level(*uv)
+    table = lv.__dict__["a_labels"] = _WatchedTable(lv)
+    fn.induce_simple.cache_clear()  # no induced object of the first level
+    assert run_pipeline(lv, flows).to_json() == expected
+    assert table.clears > 10 and table.covers > 0 and table.images > 0
+    _only_table_labels(lv)
+
+
+def test_with_room_for_one_label_no_cover_and_no_two_layer_image_is_kept(monkeypatch):
+    # each new label clears the table: R's layers and a two-layer M evict
+    # their own top while they are built, so neither is kept; a simple M is
+    lv = admissible_level(5, 3)
+    y = lc.simple_a(lv, 1, 1, 0, OMEGA)
+    expected = lc._r_layers(lv, y), lc._build_M(lv, 1, 2, 0), lc._build_M(lv, 1, 1, 0)
+    monkeypatch.setattr(lc, "label_table_bound", lambda level: 1)
+    lv = admissible_level(5, 3)
+    y = lc.simple_a(lv, 1, 1, 0, OMEGA)
+    for _ in range(2):
+        assert lc.r_layers(lv, y) == expected[0] and not lv.covers
+        assert lc.build_M(lv, 1, 2, 0) == expected[1] and not lv.images
+        assert lc.build_M(lv, 1, 1, 0) == expected[2] and list(lv.images) == [(1, 1, 0)]
+        _only_table_labels(lv)
+
+
+@pytest.mark.parametrize("bounded", [True, False], ids=["bounded", "unbounded"])
+def test_a_13_8_run_derives_each_cover_and_image_once_between_clears(monkeypatch, bounded):
+    # a run asks for R's layers 2,934 times on 1,224 tops and for M 1,122
+    # times on 516 keys; each is derived once between two clears of the
+    # label table, which a 13/8 run clears twice
+    if not bounded:
+        monkeypatch.setattr(lc, "A_LABELS_PER_KAC_LABEL", 10**9)
+    lv = admissible_level(13, 8)
+    table = lv.__dict__["a_labels"] = _RecordingTable()
+    calls = {name: [] for name in ("r_layers", "_r_layers", "build_M", "_build_M")}
+    for name, seen in calls.items():
+
+        def counted(level, *args, real=getattr(lc, name), seen=seen):
+            seen.append(args)
+            return real(level, *args)
+
+        monkeypatch.setattr(lc, name, counted)
+    fn.induce_simple.cache_clear()  # no induced object of another 13/8 level
+    assert run_pipeline(lv).verdict
+    assert len(calls["r_layers"]) == 2934 and len(set(calls["r_layers"])) == 1224
+    assert len(calls["build_M"]) == 1122 and len(set(calls["build_M"])) == 516
+    derived = len(calls["_r_layers"]), len(calls["_build_M"])
+    assert (derived, table.clears) == (((1597, 621), 2) if bounded else ((1224, 516), 0))
