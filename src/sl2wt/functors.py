@@ -16,19 +16,14 @@ The keys are simple A-labels, which local_cat.simple_a hands out from the
 level's label table, so a hit on a label built since that table was last
 cleared matches by identity.
 
-Induction of simples is memoized per process in a least-recently-used table
-of 256 objects, sized for the fusion solver, which induces each label of its
-result twice, once to peel it and once to certify the result.  Since the
-solver certifies its latest peels first, a solution larger than the memo
-still finds 256 of its labels there.  The objects it holds are layered with
-the level's shared A-labels.  Both memos are transparent, since the labels
-and the objects they map to are frozen.
+Induction of simples keeps no memo of its own: it reads R's layers and the
+M objects from the level's tables (see ``local_cat``), so every memo dies
+with its level.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .arithmetic import AdmissibleLevel, add_layers, nu_ratio, nu_weight
 from . import weight_cat as wc
@@ -78,7 +73,6 @@ def tau_tilde(level: AdmissibleLevel, x: wc.SimpleCLabel) -> lc.SimpleALabel:
     return lc.simple_a(level, x.r, x.s, x.flow - 1, nu_weight(level, x.r, x.s))
 
 
-@lru_cache(maxsize=256)
 def induce_simple(level: AdmissibleLevel, x: wc.SimpleCLabel) -> lc.AObject:
     """Induction of a simple: typicals give projectives R, atypicals give M.
 

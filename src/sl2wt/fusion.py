@@ -190,11 +190,9 @@ def groth_fuse_C(level: AdmissibleLevel, x: wc.GrothC, y: wc.GrothC) -> wc.Groth
     if residual:
         raise NoSolution(f"{_lowest_left(residual)} after peeling")
     # the peel only shows sum n*_induced_class(z) = p: re-induce the result
-    # through the functor, so that a wrong class there cannot certify itself;
-    # latest peel first, so that the induction memo still holds those labels
-    # when the result has more labels than the memo
+    # through the functor, so that a wrong class there cannot certify itself
     residual = dict(p.items())
-    for z, n in reversed(out.items()):
+    for z, n in out.items():
         add_layers(residual, induce_simple(level, z), -n)
     if residual:
         raise NoSolution(f"F(result) differs from the product: {_lowest_left(residual)}")

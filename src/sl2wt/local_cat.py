@@ -21,9 +21,9 @@ the canonical label, and simple_a returns the table's instance of a label
 already in it.  Every call still checks the Kac label and the flow, folds
 the Kac label and reduces lam; only building the label is saved.  Equal
 labels of one level are then one object, so the dict lookups of
-Grothendieck sums and of the restriction and induction memos match them by
-identity and skip the dataclass and Weight equality.  The table holds at
-most label_table_bound(level) labels, A_LABELS_PER_KAC_LABEL per Kac label
+Grothendieck sums and of the level's other tables match them by identity and
+skip the dataclass and Weight equality.  The table holds at most
+label_table_bound(level) labels, A_LABELS_PER_KAC_LABEL per Kac label
 but never fewer than A_LABELS_FLOOR = 1024, and is cleared when full.  The
 floor keeps one fusion product's labels in the table at the small levels:
 an 8-label product at 5/3 builds up to about 380 labels, more than the 256
@@ -146,6 +146,13 @@ def simple_a(level: AdmissibleLevel, r: int, s: int, flow: int, lam) -> SimpleAL
             level.images.clear()
         out = table[key] = SimpleALabel(r, s, flow, lam)
     return out
+
+
+def _in_label_table(level: AdmissibleLevel, y: SimpleALabel) -> bool:
+    """Whether y is still the instance in the level's label table: built by
+    simple_a and not cleared out of the table since."""
+    lam = y.lam
+    return level.a_labels.get((y.r, y.s, y.flow, lam.p, lam.q, lam.d)) is y
 
 
 def unit_a(level: AdmissibleLevel) -> SimpleALabel:
@@ -272,8 +279,7 @@ def r_layers(level: AdmissibleLevel, y: SimpleALabel) -> Tuple[tuple, ...]:
         out = _r_layers(level, y)
         # kept only if y is still the label table's instance: a clear since y
         # was built would leave labels of out outside the table
-        lam = y.lam
-        if level.a_labels.get((y.r, y.s, y.flow, lam.p, lam.q, lam.d)) is y:
+        if _in_label_table(level, y):
             table[y] = out
     return out
 
@@ -316,9 +322,7 @@ def build_M(level: AdmissibleLevel, r: int, s: int, flow: int) -> AObject:
     if out is None:
         out = _build_M(level, r, s, flow)
         # kept only if its top, built first, is still the table's instance
-        top = out.layers[0][0]
-        lam = top.lam
-        if level.a_labels.get((top.r, top.s, top.flow, lam.p, lam.q, lam.d)) is top:
+        if _in_label_table(level, out.layers[0][0]):
             table[key] = out
     return out
 

@@ -99,16 +99,11 @@ MUTANTS = {
 def mutant(name):
     """The named entry of MUTANTS patched in for the body of the with block.
     The patch replaces the function by its module name, which every caller
-    reads, so a level's warm tables cannot hide it.  The induction memo is
-    cleared once the mutant is in and again once it is out."""
+    reads, so a level's warm tables cannot hide it."""
     module, attr, make = MUTANTS[name]
-    try:
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(module, attr, make(getattr(module, attr)))
-            fn.induce_simple.cache_clear()
-            yield
-    finally:
-        fn.induce_simple.cache_clear()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(module, attr, make(getattr(module, attr)))
+        yield
 
 
 @pytest.fixture

@@ -114,15 +114,11 @@ def test_layer_duality_catches_a_wrong_m_socle(monkeypatch):
 
     right_build_M = lc.build_M
     monkeypatch.setattr(lc, "build_M", wrong_build_M)
-    fn.induce_simple.cache_clear()
-    try:
-        level = admissible_level(5, 3)
-        objects = [fn.induce_simple(level, wc.atypical(level, r, 1, 0)) for r in range(1, level.u)]
-        assert {x.tag for x in objects} == {"M"}
-        dual = lambda x: lc.rigid_dual(level, x)
-        assert _layer_mismatches(objects, dual, lambda lbl: lc.rigid_dual_label(level, lbl)) != []
-    finally:
-        fn.induce_simple.cache_clear()
+    level = admissible_level(5, 3)
+    objects = [fn.induce_simple(level, wc.atypical(level, r, 1, 0)) for r in range(1, level.u)]
+    assert {x.tag for x in objects} == {"M"}
+    dual = lambda x: lc.rigid_dual(level, x)
+    assert _layer_mismatches(objects, dual, lambda lbl: lc.rigid_dual_label(level, lbl)) != []
 
 
 def test_projective_is_a_diamond(layer_level):

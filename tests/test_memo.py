@@ -9,24 +9,29 @@ Kac labels in a third table per level, which the Kac table bounds.
 ``local_cat.r_layers`` keeps R's layers under the top label and
 ``local_cat.build_M`` each M object under (r, s, flow), in two more tables
 per level that are cleared with the label table and hold only its instances.
-``fusion`` keeps the class of F(A) in the level's memo, and
-``functors.induce_simple`` has a per-process memo.  A memo must give the
-unmemoized answer on a miss and on a hit, the shared F(A) class must survive
-a pipeline run unchanged, one level's table must not evict another's or hand
-out its labels, a full table must not change a run's output, a copied level
-must start with empty tables, a warm label, channel or M table must still
-refuse every argument a cold one refuses, equal labels of one level must
-come back as one object, a caller may change the channel list it was given,
-and no memo may carry a step-2 route's result from one run into the next.
+``fusion`` keeps the class of F(A) in the level's memo.  Every memo lives
+on its level; ``functors.induce_simple`` keeps none of its own.  A memo
+must give the unmemoized answer on a miss and on a hit, the shared F(A)
+class must survive a pipeline run unchanged, one level's table must not
+evict another's or hand out its labels, a full table must not change a
+run's output, a copied level must start with empty tables, a warm label,
+channel or M table must still refuse every argument a cold one refuses,
+equal labels of one level must come back as one object, a caller may change
+the channel list it was given, no memo may carry a step-2 route's result
+from one run into the next, and no module of the package may memoize a
+function per process.
 """
 
+import ast
 import copy
 import pickle
 import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import sl2wt
 from sl2wt import OMEGA, Weight, admissible_level
 from sl2wt.arithmetic import as_weight, check_rs, nu_rs
 from sl2wt import local_cat as lc
@@ -137,30 +142,6 @@ def test_a_run_past_the_bound_keeps_the_table_bounded(monkeypatch):
     assert run_pipeline(lv, flows).to_json() == expected
     assert max(sizes) < bound and len(lv.restrictions) <= bound
     assert sizes.count(0) > 1  # the table was cleared on the way
-
-
-def _induce_branch(x) -> str:
-    """Which case of the induction table x falls into."""
-    if not x.is_typical:
-        return "atypical"
-    return "typical w-lam" if x.lam.q else "typical rational lam"
-
-
-@pytest.mark.parametrize("uv", MEMO_LEVELS, ids=lambda uv: f"{uv[0]}-{uv[1]}")
-def test_induce_memo_is_transparent(uv):
-    lv = admissible_level(*uv)
-    r = rng(uv[0] * 100 + uv[1] + 1)
-    labels = list(dict.fromkeys(random_label(lv, r) for _ in range(40)))
-    assert {_induce_branch(x) for x in labels} == {"atypical", "typical w-lam", "typical rational lam"}
-    fn.induce_simple.cache_clear()
-    for x in labels:
-        fresh = fn.induce_simple.__wrapped__(lv, x)
-        misses = fn.induce_simple.cache_info().misses
-        assert fn.induce_simple(lv, x) == fresh
-        assert fn.induce_simple.cache_info().misses == misses + 1
-        hits = fn.induce_simple.cache_info().hits
-        assert fn.induce_simple(lv, x) == fresh
-        assert fn.induce_simple.cache_info().hits == hits + 1
 
 
 def test_vacuum_class_survives_a_pipeline_run():
@@ -308,15 +289,23 @@ def test_the_label_bound_has_a_floor(monkeypatch):
 def test_one_large_product_keeps_its_labels_in_the_table():
     # one 8-label product at 5/3 builds more labels than 32 per Kac label
     # allow there; the floor keeps them all, so no clear splits the product
-    # and every label of the result's induced class is the table's instance
+    # and every label of the result's induced class is the table's instance;
+    # the same product on a second, equal level gets that level's own
+    # instances, since no induced object outlives its level
     lv = admissible_level(5, 3)
     table = lv.__dict__["a_labels"] = _RecordingTable()
     r = rng(4)  # a product that builds 373 labels
     x, y = (wc.GrothC.of(*(random_label(lv, r) for _ in range(8))) for _ in range(2))
-    fn.induce_simple.cache_clear()  # no induced object of another 5/3 level
     got = fu.groth_fuse_C(lv, x, y)
     assert table.clears == 0 and table.largest > lc.A_LABELS_PER_KAC_LABEL * 4 * 2
     assert all(table[_key(z)] is z for z in fn.groth_F(lv, got).support())
+    second = admissible_level(5, 3)
+    r = rng(4)
+    x, y = (wc.GrothC.of(*(random_label(second, r) for _ in range(8))) for _ in range(2))
+    got = fu.groth_fuse_C(second, x, y)
+    labels = fn.groth_F(second, got).support()
+    assert len(labels) == 346
+    assert all(second.a_labels[_key(z)] is z for z in labels)
 
 
 def test_interleaved_levels_keep_their_own_label_tables():
@@ -533,7 +522,6 @@ def test_cover_and_image_tables_clear_with_the_label_table(monkeypatch, uv):
     monkeypatch.setattr(lc, "A_LABELS_PER_KAC_LABEL", 4)
     lv = admissible_level(*uv)
     table = lv.__dict__["a_labels"] = _WatchedTable(lv)
-    fn.induce_simple.cache_clear()  # no induced object of the first level
     assert run_pipeline(lv, flows).to_json() == expected
     assert table.clears > 10 and table.covers > 0 and table.images > 0
     _only_table_labels(lv)
@@ -557,7 +545,7 @@ def test_with_room_for_one_label_no_cover_and_no_two_layer_image_is_kept(monkeyp
 
 @pytest.mark.parametrize("bounded", [True, False], ids=["bounded", "unbounded"])
 def test_a_13_8_run_derives_each_cover_and_image_once_between_clears(monkeypatch, bounded):
-    # a run asks for R's layers 2,934 times on 1,224 tops and for M 1,122
+    # a run asks for R's layers 2,934 times on 1,224 tops and for M 1,202
     # times on 516 keys; each is derived once between two clears of the
     # label table, which a 13/8 run clears twice
     if not bounded:
@@ -572,9 +560,53 @@ def test_a_13_8_run_derives_each_cover_and_image_once_between_clears(monkeypatch
             return real(level, *args)
 
         monkeypatch.setattr(lc, name, counted)
-    fn.induce_simple.cache_clear()  # no induced object of another 13/8 level
     assert run_pipeline(lv).verdict
     assert len(calls["r_layers"]) == 2934 and len(set(calls["r_layers"])) == 1224
-    assert len(calls["build_M"]) == 1122 and len(set(calls["build_M"])) == 516
+    assert len(calls["build_M"]) == 1202 and len(set(calls["build_M"])) == 516
     derived = len(calls["_r_layers"]), len(calls["_build_M"])
     assert (derived, table.clears) == (((1597, 621), 2) if bounded else ((1224, 516), 0))
+
+
+_PROCESS_MEMOS = {"lru_cache", "cache"}
+
+
+def _process_memos(source: str) -> list:
+    """The functions of source decorated with functools.lru_cache or
+    functools.cache, under any import name, as "name:line"."""
+    tree = ast.parse(source)
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "functools"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names |= {a.asname or a.name for a in node.names if a.name in _PROCESS_MEMOS}
+    out = []
+    for node in ast.walk(tree):
+        for dec in getattr(node, "decorator_list", ()):
+            dec = dec.func if isinstance(dec, ast.Call) else dec
+            if (isinstance(dec, ast.Name) and dec.id in names) or (
+                isinstance(dec, ast.Attribute)
+                and dec.attr in _PROCESS_MEMOS
+                and isinstance(dec.value, ast.Name)
+                and dec.value.id in modules
+            ):
+                out.append(f"{node.name}:{node.lineno}")
+    return out
+
+
+def test_no_module_memoizes_per_process():
+    # every memo lives on an AdmissibleLevel and dies with it
+    modules = sorted(Path(sl2wt.__file__).parent.glob("*.py"))
+    assert {m.name for m in modules} >= {"functors.py", "fusion.py", "local_cat.py"}
+    found = {m.name: _process_memos(m.read_text()) for m in modules}
+    assert {name: memos for name, memos in found.items() if memos} == {}
+
+
+def test_the_memo_guard_finds_a_process_memo():
+    sources = [
+        "from functools import lru_cache\n@lru_cache(maxsize=256)\ndef f(x): pass",
+        "from functools import lru_cache as memo\n@memo\ndef f(x): pass",
+        "import functools\nclass C:\n    @functools.cache\n    def f(self): pass",
+        "import functools as ft\n@ft.lru_cache\ndef f(x): pass",
+    ]
+    assert [_process_memos(source) for source in sources] == [["f:3"], ["f:3"], ["f:4"], ["f:3"]]
