@@ -718,16 +718,19 @@ class DirectSum:
         return " (+) ".join(str(p) for p in self.parts)
 
 
-def add_layers(out: Dict[Hashable, int], x: Union[LoewyObject, DirectSum], n: int = 1) -> None:
+def add_layers(
+    out: Dict[Hashable, int], x: Union[LoewyObject, DirectSum, Tuple[tuple, ...]], n: int = 1
+) -> None:
     """out += n * each layer label of x, recursing into direct sums, in place,
     deleting the entries that reach zero; out belongs to the caller and holds
-    no zero.  Every count of layer labels into a class goes through here."""
+    no zero.  x may also be the Loewy layers of an object, top first.  Every
+    count of layer labels into a class goes through here."""
     if isinstance(x, DirectSum):
         for p in x.parts:
             add_layers(out, p, n)
         return
     get = out.get
-    for layer in x.layers:
+    for layer in x if x.__class__ is tuple else x.layers:
         for y in layer:
             m = get(y, 0) + n
             if m:

@@ -11,16 +11,20 @@ on Grothendieck groups: the top of F(z) is tau(z) and every lower factor sits
 at a higher flow.  So the solver computes the induced product in the extended
 fusion ring and peels it flow by flow, lowest first, into the unique
 effective preimage, raising NoSolution when no effective class induces to it.
-Peeling a term changes only higher flows, so the terms of one flow may go in
-any order.  A term whose coefficient is already zero when the peel reaches it
-starts no step, so tau is inverted (one restriction each) only on the terms
-that do.
+Each step subtracts the Loewy layers of the catalogued object topped by its
+term w: the cover R(w) that the level keeps under w for a typical
+z = tau^-1(w), the one M that F(z) is for an atypical z.  The certificate then
+re-induces every z through F, so the catalogue's covers are checked against
+the functor on a second route.  Peeling a term changes only higher flows, so
+the terms of one flow may go in any order.  A term whose coefficient is
+already zero when the peel reaches it starts no step, so tau is inverted
+(one restriction each) only on the terms that do.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .arithmetic import AdmissibleLevel, add_layers, check_rs, lam_rs
 from . import weight_cat as wc
@@ -125,8 +129,13 @@ def a_tensor_restriction_via_ring(level: AdmissibleLevel, y: lc.SimpleALabel) ->
 # Grothendieck solver
 
 
-def _induced_class(level: AdmissibleLevel, z: wc.SimpleCLabel) -> lc.GrothA:
-    return lc.comp_factors_a(level, induce_simple(level, z))
+def _cover_layers(level: AdmissibleLevel, w: lc.SimpleALabel, z: wc.SimpleCLabel) -> Tuple[tuple, ...]:
+    """The Loewy layers of F(z), top first, for w = tau(z): the layers of the
+    cover R(w) as ``local_cat.r_layers`` keeps them under w when z is typical,
+    those of the one M that induction builds when z is atypical."""
+    if z.is_typical:
+        return lc.r_layers(level, w)
+    return induce_simple(level, z).layers
 
 
 def _peel_order(w: lc.SimpleALabel):
@@ -161,12 +170,13 @@ def groth_fuse_C(level: AdmissibleLevel, x: wc.GrothC, y: wc.GrothC) -> wc.Groth
 
     Computes p = F(x)*F(y) in the extended ring and peels it by
     unitriangularity: a term w of the lowest flow not yet reached, with
-    coefficient n in what is left, fixes n copies of z = tau^-1(w), and
-    n*F(z) is subtracted.  Raises NoSolution, naming a label and its
-    coefficient, if a negative coefficient is reached, if anything is left
-    over, or if the functor itself does not send the result back to p.  The
-    label named is the first in ``_peel_order`` among those at fault, so the
-    message does not depend on the order within a flow.
+    coefficient n in what is left, fixes n copies of z = tau^-1(w), and n
+    times the layers of the catalogued object topped by w (``_cover_layers``)
+    are subtracted.  Raises NoSolution, naming a label and its coefficient,
+    if a negative coefficient is reached, if anything is left over, or if the
+    functor itself, re-inducing every z, does not send the result back to p.
+    The label named is the first in ``_peel_order`` among those at fault, so
+    the message does not depend on the order within a flow.
     """
     if not (x.is_effective and y.is_effective):
         raise ValueError("solver inputs must be effective (nonnegative) classes")
@@ -186,11 +196,11 @@ def groth_fuse_C(level: AdmissibleLevel, x: wc.GrothC, y: wc.GrothC) -> wc.Groth
         if n:
             z = tau_inverse(level, w)
             out[z] = n
-            _induced_class(level, z)._add_to(residual, -n)
+            add_layers(residual, _cover_layers(level, w, z), -n)
     if residual:
         raise NoSolution(f"{_lowest_left(residual)} after peeling")
-    # the peel only shows sum n*_induced_class(z) = p: re-induce the result
-    # through the functor, so that a wrong class there cannot certify itself
+    # the peel only shows that the covers it read sum to p: re-induce the
+    # result through the functor, so that a wrong cover cannot certify itself
     residual = dict(p.items())
     for z, n in out.items():
         add_layers(residual, induce_simple(level, z), -n)

@@ -299,8 +299,7 @@ def _r_layers(level: AdmissibleLevel, y: SimpleALabel) -> Tuple[tuple, ...]:
 
 def build_R(level: AdmissibleLevel, r: int, s: int, lam, flow: int) -> AObject:
     """The projective cover R(r,s;lam)@flow of M(r,s) x Pi_flow(lam), with
-    the layers of :func:`r_layers`."""
-    check_rs(level, r, s)
+    the layers of :func:`r_layers`; simple_a checks the Kac label and the flow."""
     top = simple_a(level, r, s, flow, lam)
     return AObject("R", top.r, top.s, flow, r_layers(level, top))
 

@@ -7,6 +7,7 @@ import pytest
 from sl2wt import Weight, admissible_level
 from sl2wt.arithmetic import Groth
 from sl2wt import functors as fn
+from sl2wt import fusion as fu
 from sl2wt import local_cat as lc
 from sl2wt import weight_cat as wc
 from sl2wt.pipeline import FLOWS, _typical_samples
@@ -88,10 +89,28 @@ def _socle_flow_up(real):
     return socle_flow_up
 
 
+def _drops_a_middle_label(real):
+    """The peel's cover without the last label of its middle layer, over the
+    real ``fusion._cover_layers``; a middle layer of one label goes
+    altogether.  The functor and the certificate keep the real R.  For
+    v = 2, no R has a middle layer and no M has three layers, so there the
+    mutant is the real code."""
+
+    def drops_a_middle_label(level, w, z):
+        layers = real(level, w, z)
+        if len(layers) < 3:
+            return layers
+        top, mid, bot = layers
+        return (top, mid[:-1], bot) if len(mid) > 1 else (top, bot)
+
+    return drops_a_middle_label
+
+
 # name -> (module, function, the mutant built from the real function)
 MUTANTS = {
     "r_middle_up": (lc, "r_layers", _middle_up),
     "m_socle_flow_up": (lc, "build_M", _socle_flow_up),
+    "cover_drops_a_middle_label": (fu, "_cover_layers", _drops_a_middle_label),
 }
 
 

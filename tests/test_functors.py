@@ -137,13 +137,9 @@ def test_tau_is_a_bijection(level):
         assert fn.tau_inverse(level, fn.tau(level, x)) == x
 
 
-@pytest.mark.parametrize(
-    "uv", [(3, 2), (5, 3), (7, 4), (11, 6), (13, 8), (5, 2), (7, 3)], ids=lambda uv: f"{uv[0]}-{uv[1]}"
-)
-def test_induction_is_unitriangular(uv):
-    # tau is injective on simples, and F(z) has top tau(z) with every lower
-    # Loewy layer at a strictly higher flow
-    level = admissible_level(*uv)
+def unitriangular_samples(level):
+    """The simples of the weight category at every Kac label and flows -2..2:
+    each atypical, and the typicals at lam = 1/2, 1/3 and w that are simple."""
     simples = []
     for r in range(1, level.u):
         for s in range(1, level.v):
@@ -154,7 +150,18 @@ def test_induction_is_unitriangular(uv):
                         simples.append(wc.typical(level, r, s, lam, flow))
                     except wc.NotSimple:
                         pass
-    simples = set(simples)
+    return set(simples)
+
+
+UNITRIANGULAR_LEVELS = [(3, 2), (5, 3), (7, 4), (11, 6), (13, 8), (5, 2), (7, 3)]
+
+
+@pytest.mark.parametrize("uv", UNITRIANGULAR_LEVELS, ids=lambda uv: f"{uv[0]}-{uv[1]}")
+def test_induction_is_unitriangular(uv):
+    # tau is injective on simples, and F(z) has top tau(z) with every lower
+    # Loewy layer at a strictly higher flow
+    level = admissible_level(*uv)
+    simples = unitriangular_samples(level)
     assert len({fn.tau(level, z) for z in simples}) == len(simples)
     for z in simples:
         top = fn.tau(level, z)

@@ -13,6 +13,7 @@ from sl2wt import fusion as fu
 from sl2wt.pipeline import run_pipeline
 
 from conftest import SAMPLE_LEVELS, TEST_LEVELS, map_labels, mutant, random_weight, rng, step2_samples
+from test_functors import UNITRIANGULAR_LEVELS, unitriangular_samples
 from test_weight_cat import random_label
 
 
@@ -164,17 +165,17 @@ def test_solver_rejects_virtual_classes():
 @pytest.mark.parametrize("which", [0, -1], ids=["first", "last"])
 def test_solver_refuses_a_wrong_induced_class(monkeypatch, level, which):
     # negative control: the peel subtracts F(z) with one lower Loewy factor
-    # missing.  The solver must raise whenever it used such a class and may
+    # missing.  The solver must raise whenever it used such a cover and may
     # return only the true product otherwise.
-    original = fu._induced_class
+    original = fu._cover_layers
 
-    def drop_lower_factor(lv, z):
-        cls = original(lv, z)
-        top = min(w.flow for w in cls.support())
-        lower = sorted((w for w in cls.support() if w.flow > top), key=lambda w: (w.flow, w.sort_key()))
+    def drop_lower_factor(lv, w, z):
+        layers = original(lv, w, z)
+        lower = sorted((y for layer in layers[1:] for y in layer), key=lambda y: (y.flow, y.sort_key()))
         if not lower:
-            return cls
-        return lc.GrothA({w: n for w, n in cls.items() if w != lower[which]}, cls.fuse)
+            return layers
+        dropped = tuple(tuple(y for y in layer if y != lower[which]) for layer in layers)
+        return tuple(layer for layer in dropped if layer)
 
     r = rng(56)
     raised = 0
@@ -182,9 +183,10 @@ def test_solver_refuses_a_wrong_induced_class(monkeypatch, level, which):
         x = wc.GrothC.of(*(random_label(level, r) for _ in range(size)))
         y = wc.GrothC.of(*(random_label(level, r) for _ in range(size)))
         expected = fu.groth_fuse_C(level, x, y)
-        touched = any(drop_lower_factor(level, z) != original(level, z) for z in expected.support())
+        covers = [(fn.tau(level, z), z) for z in expected.support()]
+        touched = any(drop_lower_factor(level, *c) != original(level, *c) for c in covers)
         with monkeypatch.context() as m:
-            m.setattr(fu, "_induced_class", drop_lower_factor)
+            m.setattr(fu, "_cover_layers", drop_lower_factor)
             if touched:
                 with pytest.raises(fu.NoSolution):
                     fu.groth_fuse_C(level, x, y)
@@ -219,6 +221,72 @@ def test_solver_inverts_only_what_it_peels(monkeypatch, level):
     assert passed_over > 0
 
 
+def test_the_peel_builds_no_R(monkeypatch):
+    # the peel reads each cover from the level's table of R's layers: R is
+    # built only when F induces the typical labels of x and y, and when the
+    # certificate re-induces those of the result
+    lv = admissible_level(5, 3)
+    original, calls = lc.build_R, []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(lc, "build_R", counted)
+    r = rng(60)
+    x, y = (wc.GrothC.of(*(random_label(lv, r) for _ in range(8))) for _ in range(2))
+    result = fu.groth_fuse_C(lv, x, y)
+
+    def typicals(c):
+        return sum(z.is_typical for z in c.support())
+
+    assert typicals(result) > 0
+    assert len(calls) == typicals(x) + typicals(y) + typicals(result)
+
+
+@pytest.mark.parametrize("uv", UNITRIANGULAR_LEVELS, ids=lambda uv: f"{uv[0]}-{uv[1]}")
+def test_cover_layers_are_the_induced_layers(uv):
+    # the peel subtracts the layers that _cover_layers reads under tau(z);
+    # they must be those of F(z), on a cold level and again on the warm one
+    reference, lv = admissible_level(*uv), admissible_level(*uv)
+    simples = unitriangular_samples(reference)
+    expected = {z: fn.induce_simple(reference, z).layers for z in simples}
+    assert not lv.covers
+    for _ in ("cold", "warm"):
+        for z in simples:
+            assert fu._cover_layers(lv, fn.tau(lv, z), z) == expected[z]
+        assert lv.covers
+    for z in simples:
+        assert fu._cover_layers(lv, fn.tau(lv, z), z) == fn.induce_simple(lv, z).layers
+
+
+@pytest.mark.parametrize("uv", SAMPLE_LEVELS, ids=lambda uv: f"{uv[0]}-{uv[1]}")
+def test_solver_fails_a_cover_without_a_middle_label(uv):
+    # the peel reads R's layers from the level's table, the certificate
+    # re-induces through F: a middle label missing from the peel's cover
+    # must raise wherever the peel reads such a cover, and no wrong class
+    # may come back
+    level = admissible_level(*uv)
+    r = rng(5)
+    products = [
+        tuple(wc.GrothC.of(*(random_label(level, r) for _ in range(size))) for _ in range(2))
+        for size in (1, 1, 2, 3, 4)
+    ]
+    expected = [fu.groth_fuse_C(level, x, y) for x, y in products]
+    touched = [
+        any(len(fu._cover_layers(level, fn.tau(level, z), z)) == 3 for z in e.support()) for e in expected
+    ]
+    with mutant("cover_drops_a_middle_label"):
+        for (x, y), right, hit in zip(products, expected, touched):
+            if hit:
+                with pytest.raises(fu.NoSolution):
+                    fu.groth_fuse_C(level, x, y)
+            else:
+                assert fu.groth_fuse_C(level, x, y) == right
+    # v = 2: no R has a middle layer, so the mutant is the real code
+    assert any(touched) == (level.v >= 3)
+
+
 def _solve(level, x, y):
     """The product, or the text of the NoSolution it raises."""
     try:
@@ -228,13 +296,12 @@ def _solve(level, x, y):
 
 
 def _lower_factors_doubled(original):
-    """A wrong induced class: every factor below the top counted twice, so
-    the peel drives terms negative, often several of one flow."""
+    """A wrong cover: every layer below the top counted twice, so the peel
+    drives terms negative, often several of one flow."""
 
-    def doubled(lv, z):
-        cls = original(lv, z)
-        top = min(w.flow for w in cls.support())
-        return lc.GrothA({w: n if w.flow == top else 2 * n for w, n in cls.items()}, cls.fuse)
+    def doubled(lv, w, z):
+        top, *lower = original(lv, w, z)
+        return (top, *(layer for layer in lower for _ in range(2)))
 
     return doubled
 
@@ -258,12 +325,12 @@ def test_order_within_a_flow_is_free(monkeypatch, level, order):
         tuple(wc.GrothC.of(*(random_label(level, r) for _ in range(size))) for _ in range(2))
         for size in (1, 1, 2, 3, 4)
     ]
-    wrong_class = _lower_factors_doubled(fu._induced_class)
+    wrong_cover = _lower_factors_doubled(fu._cover_layers)
 
     def solve_all():
         right = [_solve(level, x, y) for x, y in products]
         with monkeypatch.context() as m:
-            m.setattr(fu, "_induced_class", wrong_class)
+            m.setattr(fu, "_cover_layers", wrong_cover)
             wrong = [_solve(level, x, y) for x, y in products]
         return right, wrong
 

@@ -73,6 +73,15 @@ def test_vir_fuse_out_of_range():
         lc.build_M(lv, 1, 4, 0)  # s may reach v but not v+1
 
 
+def test_build_R_names_the_kac_label_once():
+    # simple_a is build_R's one Kac check, and its message is the one the
+    # check in build_R itself used to raise
+    lv = admissible_level(5, 3)
+    with pytest.raises(OutOfKacTable) as err:
+        lc.build_R(lv, 1, 3, wt(0), 0)
+    assert str(err.value) == "(r, s) = (1, 3) outside [1,4] x [1,2] at level 5/3"
+
+
 def test_pi_fuse():
     assert lc.pi_fuse(0, wt(0), 3, wt(F(1, 4))) == (3, wt(F(1, 4)))
     assert lc.pi_fuse(1, wt(F(1, 2)), -1, wt(F(1, 3))) == (0, wt(F(5, 6)))
