@@ -288,13 +288,10 @@ def _r_layers(level: AdmissibleLevel, y: SimpleALabel) -> Tuple[tuple, ...]:
     """r_layers without its table."""
     r, s, flow, lam = y.r, y.s, y.flow, y.lam
     w_mid = lam - level.half_t
-    mid = [simple_a(level, r, s2, flow + 1, w_mid) for s2 in (s - 1, s + 1) if 0 < s2 < level.v]
-    # the middle labels share flow and lam, and r too, since y's (r, s) is
-    # canonical, so s gives the sort_key order
-    if len(mid) == 2 and mid[1].s < mid[0].s:
-        mid.reverse()
+    # in sort_key order: only a top with 2r = u (so v odd) folds s + 1, onto s
+    mid = tuple(simple_a(level, r, s2, flow + 1, w_mid) for s2 in (s - 1, s + 1) if 0 < s2 < level.v)
     bot = (simple_a(level, r, s, flow + 2, lam - level.t),)
-    return ((y,), tuple(mid), bot) if mid else ((y,), bot)
+    return ((y,), mid, bot) if mid else ((y,), bot)
 
 
 def build_R(level: AdmissibleLevel, r: int, s: int, lam, flow: int) -> AObject:
@@ -418,15 +415,8 @@ def aobject_from_json(level: AdmissibleLevel, data: dict, depth: int = 0) -> Uni
     return build_M(level, r, s, flow)
 
 
-def loewy_lines(x: Union[AObject, DirectSum]) -> List[str]:
+def loewy_lines(x: AObject) -> List[str]:
     """ASCII Loewy diagram, one line per layer, top first."""
-    if isinstance(x, DirectSum):
-        out: List[str] = []
-        for i, p in enumerate(x.parts):
-            if i:
-                out.append("(+)")
-            out.extend(loewy_lines(p))
-        return out
     body = ["   ".join(str(lbl) for lbl in layer) for layer in x.layers]
     if len(body) > 1:
         body = [body[0]] + [line for b in body[1:] for line in ("  |", b)]

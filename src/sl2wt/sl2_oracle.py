@@ -25,9 +25,8 @@ side has degree at most 2m, and a nonzero polynomial of degree at most 2m
 has at most 2m roots.  So each window evaluates its entries, once, at
 w = 0, 1, ..., 2m into tables of plain ints, and checking every relation at
 every interior index and every point is exactly as strong as checking it in
-Z[w].  `act` computes each output coefficient from the entries per call and
-divides it by D.  reducibility_points scans the window on integers and
-builds a Weight only for a hit.
+Z[w].  reducibility_points scans the window on integers and builds a Weight
+only for a hit.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
-from numbers import Rational
 from typing import Dict, Iterable, List, Tuple
 
 from .arithmetic import AdmissibleLevel, Weight, as_weight, lam_rs
@@ -46,76 +44,9 @@ from .arithmetic import AdmissibleLevel, Weight, as_weight, lam_rs
 # with N as time does.
 MAX_WINDOW = 5000
 
-# Coefficients of 1, w, w^2, ...: ints in the entries, Fractions in the
-# vectors that act takes and returns.  Every poly this module builds or
-# accepts is trimmed: its last coefficient is nonzero, and 0 is the empty
-# tuple.  The helpers below rely on that: a product's top coefficient
-# a_m * b_n is never 0 (Z and Q have no zero divisors), and a sum can only
-# cancel at the top when both terms have the same length.
-Poly = Tuple[Rational, ...]
-
-_ZERO: Poly = ()
-_ONE: Poly = (1,)  # the unit side's entries are this object, so _pmul tests identity
-
-
-def _trim(cs: List[Rational]) -> Poly:
-    while cs and not cs[-1]:
-        cs.pop()
-    return tuple(cs)
-
-
-def _padd(p: Poly, q: Poly) -> Poly:
-    """p + q."""
-    if not p:
-        return q
-    if not q:
-        return p
-    lp, lq = len(p), len(q)
-    if lp == 1 == lq:
-        c = p[0] + q[0]
-        return (c,) if c else _ZERO
-    if lp < lq:
-        p, q, lp, lq = q, p, lq, lp
-    out = [a + b for a, b in zip(p, q)]
-    if lp == lq:
-        return _trim(out)
-    return (*out, *p[lq:])
-
-
-def _pmul(p: Poly, q: Poly) -> Poly:
-    """p * q; a product of trimmed polys is trimmed, so it is not trimmed again."""
-    if not p or not q:
-        return _ZERO
-    if p is _ONE:
-        return q
-    if q is _ONE:
-        return p
-    if len(p) == 1:
-        if len(q) == 1:
-            return (p[0] * q[0],)
-        return _pscale(q, p[0])
-    if len(q) == 1:
-        return _pscale(p, q[0])
-    # the first row p[0] * q, then each further row adds onto the overlap and
-    # appends its top term
-    a = p[0]
-    out = [a * b for b in q]
-    top = len(q) - 1
-    for i in range(1, len(p)):
-        a = p[i]
-        for j in range(top):
-            out[i + j] += a * q[j]
-        out.append(a * q[top])
-    return tuple(out)
-
-
-def _pscale(p: Poly, c) -> Poly:
-    """c * p for an int or Fraction c."""
-    if not c:
-        return _ZERO
-    if len(p) == 1:
-        return (p[0] * c,)
-    return tuple([a * c for a in p])
+# Coefficients of 1, w, w^2, ...: the int entries of a window.  Every entry
+# is trimmed: its last coefficient is nonzero, and 0 is the empty tuple.
+Poly = Tuple[int, ...]
 
 
 def _at(p: Poly, t: int) -> int:
@@ -125,8 +56,6 @@ def _at(p: Poly, t: int) -> int:
         v = v * t + c
     return v
 
-
-Vec = Dict[int, Poly]  # window vector: index i -> coefficient of v_{lam+2i}
 
 # the index shift of each generator's weighted shift: v_i -> c_i v_{i + shift}
 _SHIFT = {"h": 0, "e": 1, "f": -1}
@@ -181,7 +110,7 @@ class RelaxedWindow:
             return (n0, c1 + 2 * dc * q * (s * d - a), c2)
         if c1:
             return (n0, c1)
-        return (n0,) if n0 else _ZERO
+        return (n0,) if n0 else ()
 
     def _den(self, gen: str) -> int:
         """The denominator D of gen's entries."""
@@ -205,9 +134,9 @@ class RelaxedWindow:
             a = lam.p + 2 * i * lam.d
             if lam.q:
                 return (a, lam.q)
-            return (a,) if a else _ZERO
+            return (a,) if a else ()
         if (gen == "e") == (self.sign == "minus"):
-            return _ONE
+            return (1,)
         s = _SHIFT[gen]
         return self._string_coeff(lam.p + 2 * (i + s) * lam.d, s)
 
@@ -226,21 +155,6 @@ class RelaxedWindow:
             column = [self._entry(gen, i) for i in self._span(gen)]
             tables[gen] = [[_at(p, t) for p in column] for t in points]
         return tables
-
-    def act(self, gen: str, vec: Vec) -> Vec:
-        """gen applied to vec: each coefficient from _entry, divided by D."""
-        if gen not in _SHIFT:
-            raise ValueError(f"unknown generator {gen!r}")
-        span, shift, den = self._span(gen), _SHIFT[gen], self._den(gen)
-        out: Vec = {}
-        for i, p in vec.items():
-            if i not in span:
-                continue
-            q = _pmul(p, self._entry(gen, i))
-            if q:
-                j = i + shift
-                out[j] = _padd(out.get(j, _ZERO), q)
-        return {i: tuple([Fraction(c, den) for c in p]) for i, p in out.items() if p}
 
     def interior(self) -> range:
         return range(-self.window + 1, self.window)

@@ -106,11 +106,24 @@ def _drops_a_middle_label(real):
     return drops_a_middle_label
 
 
+def _atypical_tau_flow_0(real):
+    """tau with each atypical label sent to Pi-flow 0, over the real
+    ``functors.tau``; typical labels keep theirs.  Step 4's witness then has
+    monodromy exponent 0 with tau(Q), an integer, so Q looks Mueger central."""
+
+    def atypical_tau_flow_0(level, x):
+        y = real(level, x)
+        return y if x.is_typical else lc.simple_a(level, y.r, y.s, 0, y.lam)
+
+    return atypical_tau_flow_0
+
+
 # name -> (module, function, the mutant built from the real function)
 MUTANTS = {
     "r_middle_up": (lc, "r_layers", _middle_up),
     "m_socle_flow_up": (lc, "build_M", _socle_flow_up),
     "cover_drops_a_middle_label": (fu, "_cover_layers", _drops_a_middle_label),
+    "atypical_tau_flow_0": (fn, "tau", _atypical_tau_flow_0),
 }
 
 

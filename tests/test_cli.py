@@ -53,6 +53,20 @@ def test_fuse_command(capsys):
     assert "object:" in out
 
 
+# sha256 of the whole `kac --level 5/3` output, text and --json, newline included
+KAC_SHA256 = {
+    "text": "a06941b707bd70cc4c6874e9c7ffe084c9839d7e38e5fb24e34560e730c2a4af",
+    "json": "8b5af083a67131f736cfb9285082bddd4e62afe5a282ad30ec0161b5ae78bb9f",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(KAC_SHA256))
+def test_kac_bytes_are_pinned(capsys, mode):
+    code, out, _ = run(capsys, "kac", "--level", "5/3", *(["--json"] if mode == "json" else []))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == KAC_SHA256[mode]
+
+
 def test_kac_not_admissible(capsys):
     code, _, err = run(capsys, "kac", "--level", "4/2")
     assert code == 2

@@ -22,7 +22,7 @@ from sl2wt.pipeline import (
     run_pipeline,
 )
 
-from conftest import TEST_LEVELS
+from conftest import SAMPLE_LEVELS, TEST_LEVELS, mutant
 
 
 def test_pipeline_v2():
@@ -192,6 +192,17 @@ def test_noncentrality_witness_examples():
     assert e == 2 * OMEGA
     with pytest.raises(ValueError):
         noncentrality_witness(lv, wc.lr0(lv, 1, 0))
+
+
+@pytest.mark.parametrize("uv", SAMPLE_LEVELS, ids=lambda uv: f"{uv[0]}-{uv[1]}")
+def test_step4_fails_when_tau_sends_atypicals_to_flow_0(uv):
+    # negative control: with tau(Q) at Pi-flow 0 the fixed witness has an
+    # integral exponent, and no other Z may be sought to rescue the step
+    lv = admissible_level(*uv)
+    with mutant("atypical_tau_flow_0"):
+        step4 = run_pipeline(lv).step4
+    assert step4.passed is False
+    assert step4.witness[1] == wt(0)
 
 
 def test_expected_vacuum_factors_shapes():
