@@ -385,9 +385,9 @@ class AdmissibleLevel:
 
     # The memos of the layers above that depend on the level live on it: the
     # simple A-labels built, the Virasoro fusion channels computed, R's layers
-    # and the M objects built, the restrictions computed and the class of
-    # F(A).  They die with the level, and a hit hashes only its key, never the
-    # level.
+    # and the M objects built, the restrictions computed, one of each of the
+    # last three per spectral-flow orbit, and the class of F(A).  They die
+    # with the level, and a hit hashes only its key, never the level.
     @cached_property
     def a_labels(self) -> Dict[Tuple[int, ...], object]:
         """The simple A-label built at this level for each canonical integer
@@ -413,9 +413,26 @@ class AdmissibleLevel:
         return {}
 
     @cached_property
+    def cover_orbits(self) -> Dict[Tuple[int, ...], Tuple[int, Tuple[tuple, ...]]]:
+        """(flow, layers of R(y)) for one y of each spectral-flow orbit, under
+        ``local_cat.orbit_key(y)``; see ``local_cat.r_layers``."""
+        return {}
+
+    @cached_property
+    def image_orbits(self) -> Dict[Tuple[int, int], Tuple[int, object]]:
+        """(flow, M[r,s]@flow) under (r, s); see ``local_cat.build_M``."""
+        return {}
+
+    @cached_property
     def restrictions(self) -> Dict[Hashable, object]:
         """The restriction of each simple label restricted at this level so
         far; ``functors.restrict_simple`` fills it and bounds its size."""
+        return {}
+
+    @cached_property
+    def restriction_orbits(self) -> Dict[Tuple[int, ...], Tuple[int, object]]:
+        """(flow, restriction of y) for one y of each spectral-flow orbit,
+        under ``local_cat.orbit_key(y)``; see ``functors.restrict_simple``."""
         return {}
 
     @cached_property

@@ -40,8 +40,8 @@ FLOWS: Tuple[int, ...] = (-2, -1, 0, 1, 2)
 LAMBDA_SAMPLES: Tuple[Weight, ...] = (wt(0), wt(Fraction(1, 2)), OMEGA)
 
 # Largest number of flows one run samples.  Steps 2 and 3 take time that
-# grows with the flows: at 13/8, MAX_FLOWS of them take about 3.2 s against
-# 0.22 s for FLOWS (medians of five fresh `sl2wt pipeline` processes, import
+# grows with the flows: at 13/8, MAX_FLOWS of them take about 2.3 s against
+# 0.17 s for FLOWS (medians of five fresh `sl2wt pipeline` processes, import
 # included, shared 2-core Xeon, Python 3.11.7).
 MAX_FLOWS = 100
 

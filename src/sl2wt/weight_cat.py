@@ -234,7 +234,9 @@ def _flowed(x, m: int):
         return SimpleCLabel(x.flow + m, x.r, x.s, x.lam)
     if isinstance(x, DirectSum):
         return DirectSum(tuple(_flowed(p, m) for p in x.parts))
-    layers = tuple(tuple(_flowed(lbl, m) for lbl in layer) for layer in x.layers)
+    # restriction moves a stored answer along its orbit through here: list
+    # comprehensions and no call per label
+    layers = tuple([tuple([SimpleCLabel(z.flow + m, z.r, z.s, z.lam) for z in layer]) for layer in x.layers])
     return CObject(x.tag, x.r, x.s, x.flow + m, layers)
 
 

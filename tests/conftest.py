@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from sl2wt import Weight, admissible_level
-from sl2wt.arithmetic import Groth
+from sl2wt.arithmetic import Groth, nu_ratio
 from sl2wt import functors as fn
 from sl2wt import fusion as fu
 from sl2wt import local_cat as lc
@@ -118,12 +118,45 @@ def _atypical_tau_flow_0(real):
     return atypical_tau_flow_0
 
 
+def _swapped_eminus_branches(real):
+    """Restriction's two E- branches swapped, over the real derivation
+    ``functors._restrict_simple``: lam on nu_{r,s} mod Z gives
+    sigma^l(E-_{r,s}) and lam on nu_{u-r,v-s} gives sigma^l(E-_{u-r,v-s});
+    typical labels restrict as before.  The memo derives once per orbit and
+    moves that answer along it, so every flow of an atypical orbit is wrong."""
+
+    def swapped_eminus_branches(level, y):
+        flow = y.flow + 1
+        if y.lam.on_coset(*nu_ratio(level, y.r, y.s), 1):
+            return wc.eminus(level, y.r, y.s, flow)
+        if y.lam.on_coset(*nu_ratio(level, level.u - y.r, level.v - y.s), 1):
+            return wc.eminus(level, level.u - y.r, level.v - y.s, flow)
+        return real(level, y)
+
+    return swapped_eminus_branches
+
+
+def _restriction_off_at_flow_1(real):
+    """The real derivation ``functors._restrict_simple`` one flow too high on
+    labels at Pi-flow 1 and right at every other flow.  Each flow on its own
+    looks consistent; only a comparison across flows sees it, and the memo
+    hides it wherever it moves an answer derived at another flow to flow 1."""
+
+    def restriction_off_at_flow_1(level, y):
+        out = real(level, y)
+        return wc.spectral_flow(out, 1) if y.flow == 1 else out
+
+    return restriction_off_at_flow_1
+
+
 # name -> (module, function, the mutant built from the real function)
 MUTANTS = {
     "r_middle_up": (lc, "r_layers", _middle_up),
     "m_socle_flow_up": (lc, "build_M", _socle_flow_up),
     "cover_drops_a_middle_label": (fu, "_cover_layers", _drops_a_middle_label),
     "atypical_tau_flow_0": (fn, "tau", _atypical_tau_flow_0),
+    "swapped_eminus_branches": (fn, "_restrict_simple", _swapped_eminus_branches),
+    "restriction_off_at_flow_1": (fn, "_restrict_simple", _restriction_off_at_flow_1),
 }
 
 

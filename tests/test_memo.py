@@ -9,17 +9,21 @@ Kac labels in a third table per level, which the Kac table bounds.
 ``local_cat.r_layers`` keeps R's layers under the top label and
 ``local_cat.build_M`` each M object under (r, s, flow), in two more tables
 per level that are cleared with the label table and hold only its instances.
+Restriction, R's layers and M are derived once per spectral-flow orbit: on a
+miss each reads an orbit table, keyed by (r, s, lam) or by (r, s), and moves
+the stored answer to the flow asked for.  The restriction's orbit table has
+the restriction table's bound, the other two clear with the label table.
 ``fusion`` keeps the class of F(A) in the level's memo.  Every memo lives
 on its level; ``functors.induce_simple`` keeps none of its own.  A memo
-must give the unmemoized answer on a miss and on a hit, the shared F(A)
-class must survive a pipeline run unchanged, one level's table must not
-evict another's or hand out its labels, a full table must not change a
-run's output, a copied level must start with empty tables, a warm label,
-channel or M table must still refuse every argument a cold one refuses,
-equal labels of one level must come back as one object, a caller may change
-the channel list it was given, no memo may carry a step-2 route's result
-from one run into the next, and no module of the package may memoize a
-function per process.
+must give the underived answer on a miss, on an orbit hit and on a hit,
+the shared F(A) class must survive a pipeline run unchanged, one level's
+table must not evict another's or hand out its labels, a full table must
+not change a run's output, a copied level must start with empty tables, a
+warm label, channel or M table must still refuse every argument a cold one
+refuses, equal labels of one level must come back as one object, a caller
+may change the channel list it was given, no memo may carry a step-2
+route's result from one run into the next, and no module of the package may
+memoize a function per process.
 """
 
 import ast
@@ -71,18 +75,42 @@ def _random_labels(level, seed: int, count: int = 40):
     return out
 
 
+def _orbit(y) -> tuple:
+    """The key of y's orbit under spectral flow."""
+    return (y.r, y.s, y.lam.p, y.lam.q, y.lam.d)
+
+
+def _flow_band_labels(level, seed: int, flows: int = 5):
+    """Each of _random_labels at the given number of flows drawn from -50..49,
+    shuffled, so that most lookups of a fresh level's tables are orbit hits."""
+    r = rng(seed)
+    out = [
+        lc.simple_a(level, y.r, y.s, flow, y.lam)
+        for y in _random_labels(level, seed)
+        for flow in r.sample(range(-50, 50), flows)
+    ]
+    r.shuffle(out)
+    return out
+
+
 @pytest.mark.parametrize("uv", MEMO_LEVELS, ids=lambda uv: f"{uv[0]}-{uv[1]}")
 def test_restrict_memo_is_transparent(uv):
     lv = admissible_level(*uv)
-    labels = _random_labels(lv, seed=uv[0] * 100 + uv[1])
+    labels = _flow_band_labels(lv, seed=uv[0] * 100 + uv[1])
     assert {_branch(lv, y) for y in labels} == {
         "atypical nu_rs", "atypical nu_mirror", "typical w-lam", "typical rational lam"
     }
+    orbits = {_orbit(y) for y in labels}
+    assert 2 * len(orbits) < len(labels)  # most misses are orbit hits
     for y in labels:
         fresh = fn._restrict_simple(lv, y)
-        assert fn.restrict_simple(lv, y) == fresh  # miss or hit
+        assert fn.restrict_simple(lv, y) == fresh  # miss, derived or moved, or hit
         assert lv.restrictions[y] == fresh
         assert fn.restrict_simple(lv, y) == fresh  # hit
+    # each orbit derived once, at the flow it was first asked for
+    assert set(lv.restriction_orbits) == orbits
+    assert all(fn._restrict_simple(lv, lc.simple_a(lv, r, s, flow, Weight(p, q, d))) == res
+               for (r, s, p, q, d), (flow, res) in lv.restriction_orbits.items())
 
 
 def _count_misses(monkeypatch, level) -> list:
@@ -100,10 +128,13 @@ def _count_misses(monkeypatch, level) -> list:
 
 
 def test_a_13_8_run_restricts_each_label_once(monkeypatch):
+    # 2,082 labels restricted, 486 orbits under spectral flow derived: the
+    # other 1,596 labels take their orbit's answer moved to their flow
     lv = admissible_level(13, 8)
     misses = _count_misses(monkeypatch, lv)
     assert run_pipeline(lv).verdict
-    assert len(misses) == len(lv.restrictions) == 2082
+    assert len(lv.restrictions) == 2082
+    assert len(misses) == len(lv.restriction_orbits) == 486
 
 
 def test_interleaved_levels_keep_their_own_tables():
@@ -119,14 +150,18 @@ def test_interleaved_levels_keep_their_own_tables():
         assert lv.restrictions == seen  # nothing evicted, nothing from the other level
 
 
+_ORBIT_TABLES = ("restriction_orbits", "cover_orbits", "image_orbits")
+
+
 def test_a_copied_level_starts_with_empty_tables():
     lv = admissible_level(5, 3)
     assert run_pipeline(lv).verdict and lv.restrictions and lv.memo
-    assert lv.covers and lv.images
+    assert lv.covers and lv.images and all(getattr(lv, name) for name in _ORBIT_TABLES)
     for twin in (pickle.loads(pickle.dumps(lv)), copy.copy(lv), copy.deepcopy(lv)):
         assert twin == lv and hash(twin) == hash(lv)
         assert not twin.restrictions and not twin.memo
         assert not twin.covers and not twin.images
+        assert not any(getattr(twin, name) for name in _ORBIT_TABLES)
 
 
 def test_a_run_past_the_bound_keeps_the_table_bounded(monkeypatch):
@@ -136,12 +171,15 @@ def test_a_run_past_the_bound_keeps_the_table_bounded(monkeypatch):
         m.setattr(fn, "RESTRICTIONS_PER_KAC_LABEL", 10**9)
         expected = run_pipeline(unbounded, flows).to_json()
     bound = fn.RESTRICTIONS_PER_KAC_LABEL * 4 * 2
-    assert len(unbounded.restrictions) > bound  # this run would fill the table
+    assert len(unbounded.restrictions) == 2256 > bound  # this run would fill the table
     lv = admissible_level(5, 3)
-    sizes = _count_misses(monkeypatch, lv)
+    table = lv.__dict__["restrictions"] = _RecordingTable()
+    derived = _count_misses(monkeypatch, lv)
     assert run_pipeline(lv, flows).to_json() == expected
-    assert max(sizes) < bound and len(lv.restrictions) <= bound
-    assert sizes.count(0) > 1  # the table was cleared on the way
+    assert table.largest == bound and len(lv.restrictions) <= bound
+    assert table.clears == 24  # the table was cleared on the way
+    # the orbits fit in the bound, so none is derived twice across the clears
+    assert len(derived) == len(lv.restriction_orbits) == len(unbounded.restriction_orbits) == 36
 
 
 def test_vacuum_class_survives_a_pipeline_run():
@@ -433,35 +471,55 @@ def _middle_count(level, y) -> int:
     return sum(0 < s2 < level.v for s2 in (y.s - 1, y.s + 1))
 
 
+# a label table this small clears every few covers or images
+SMALL_LABEL_TABLE = 16
+
+
 @pytest.mark.parametrize("uv", MEMO_LEVELS, ids=lambda uv: f"{uv[0]}-{uv[1]}")
-def test_cover_table_is_transparent(uv):
+def test_cover_table_is_transparent(monkeypatch, uv):
     lv = admissible_level(*uv)
-    labels = _random_labels(lv, seed=uv[0] * 100 + uv[1] + 5)
+    labels = _flow_band_labels(lv, seed=uv[0] * 100 + uv[1] + 5)
     # no middle layer at v = 2, one at s = 1 or v - 1, two in between
     assert {_middle_count(lv, y) for y in labels} == ({0} if lv.v == 2 else {1} if lv.v == 3 else {1, 2})
+    orbits = {_orbit(y) for y in labels}
+    assert 2 * len(orbits) < len(labels)  # most misses are orbit hits
     for y in labels:
         fresh = lc._r_layers(lv, y)
-        got = lc.r_layers(lv, y)  # miss or hit
+        got = lc.r_layers(lv, y)  # miss, derived or moved, or hit
         assert got == fresh and got[0] == (y,) and lv.covers[y] is got
         assert lc.r_layers(lv, y) is got  # hit
-    assert set(lv.covers) == set(labels)
+    assert set(lv.covers) == set(labels) and set(lv.cover_orbits) == orbits
+    _only_table_labels(lv)
+    # again with a label table that clears every few covers, taking the cover
+    # table and its orbits with it
+    monkeypatch.setattr(lc, "label_table_bound", lambda level: SMALL_LABEL_TABLE)
+    for y in labels:
+        y = lc.simple_a(lv, y.r, y.s, y.flow, y.lam)
+        assert lc.r_layers(lv, y) == lc._r_layers(lv, y)
+        _only_table_labels(lv)
 
 
 @pytest.mark.parametrize("uv", MEMO_LEVELS, ids=lambda uv: f"{uv[0]}-{uv[1]}")
-def test_image_table_is_transparent(uv):
+def test_image_table_is_transparent(monkeypatch, uv):
     lv = admissible_level(*uv)
     r = rng(uv[0] * 100 + uv[1] + 6)
-    keys = [(r.randint(1, lv.u - 1), r.randint(1, lv.v), r.randint(-3, 3)) for _ in range(40)]
+    kac = [(r.randint(1, lv.u - 1), r.randint(1, lv.v)) for _ in range(8)] + [(1, 1), (lv.u - 1, lv.v)]
+    keys = [(rr, ss, flow) for rr, ss in kac for flow in r.sample(range(-50, 50), 5)]
+    r.shuffle(keys)
     # s = 1 and s = v give simples, and 1 < s < v, at v >= 3, two layers
     shapes = {"simple" if s in (1, lv.v) else "two layers" for _, s, _ in keys}
-    assert {1, lv.v} <= {s for _, s, _ in keys}
     assert shapes == ({"simple"} if lv.v == 2 else {"simple", "two layers"})
     for key in keys:
         fresh = lc._build_M(lv, *key)
-        got = lc.build_M(lv, *key)  # miss or hit
+        got = lc.build_M(lv, *key)  # miss, derived or moved, or hit
         assert got == fresh and lv.images[key] is got
         assert lc.build_M(lv, *key) is got  # hit
-    assert set(lv.images) == set(keys)
+    assert set(lv.images) == set(keys) and set(lv.image_orbits) == set(kac)
+    _only_table_labels(lv)
+    monkeypatch.setattr(lc, "label_table_bound", lambda level: SMALL_LABEL_TABLE)
+    for key in keys:
+        assert lc.build_M(lv, *key) == lc._build_M(lv, *key)
+        _only_table_labels(lv)
 
 
 def test_a_warm_image_table_still_refuses_bad_arguments():
@@ -482,12 +540,20 @@ def test_a_warm_image_table_still_refuses_bad_arguments():
 
 
 def _only_table_labels(level) -> None:
-    """Every label in the level's cover and image tables is the label
-    table's instance, and neither table holds more entries than it."""
+    """Every label in the level's cover and image tables and in their orbit
+    tables is the label table's instance, the cover table holds no more
+    entries than it and the image table at most twice as many (M[r,v]@l and
+    M[u-r,1]@(l+1) are one simple), and no orbit table holds more entries
+    than the table it serves."""
     table = level.a_labels
-    objects = [*level.covers.values(), *(m.layers for m in level.images.values())]
+    objects = [
+        *level.covers.values(), *(m.layers for m in level.images.values()),
+        *(layers for _, layers in level.cover_orbits.values()),
+        *(m.layers for _, m in level.image_orbits.values()),
+    ]
     assert all(table[_key(z)] is z for layers in objects for layer in layers for z in layer)
-    assert len(level.covers) <= len(table) and len(level.images) <= len(table)
+    assert len(level.covers) <= len(table) and len(level.images) <= 2 * len(table)
+    assert len(level.cover_orbits) <= len(level.covers) and len(level.image_orbits) <= len(level.images)
 
 
 class _WatchedTable(_RecordingTable):
@@ -504,6 +570,7 @@ class _WatchedTable(_RecordingTable):
     def __setitem__(self, key, value):
         if not self:
             assert not self.level.covers and not self.level.images
+            assert not self.level.cover_orbits and not self.level.image_orbits
         super().__setitem__(key, value)
 
     def clear(self):
@@ -545,9 +612,10 @@ def test_with_room_for_one_label_no_cover_and_no_two_layer_image_is_kept(monkeyp
 
 @pytest.mark.parametrize("bounded", [True, False], ids=["bounded", "unbounded"])
 def test_a_13_8_run_derives_each_cover_and_image_once_between_clears(monkeypatch, bounded):
-    # a run asks for R's layers 2,934 times on 1,224 tops and for M 1,202
-    # times on 516 keys; each is derived once between two clears of the
-    # label table, which a 13/8 run clears twice
+    # a run asks for R's layers 2,934 times on 1,224 tops in 312 orbits under
+    # spectral flow and for M 1,202 times on 516 keys in 84 orbits; each
+    # orbit is derived once between two clears of the label table, which a
+    # 13/8 run clears twice
     if not bounded:
         monkeypatch.setattr(lc, "A_LABELS_PER_KAC_LABEL", 10**9)
     lv = admissible_level(13, 8)
@@ -564,7 +632,7 @@ def test_a_13_8_run_derives_each_cover_and_image_once_between_clears(monkeypatch
     assert len(calls["r_layers"]) == 2934 and len(set(calls["r_layers"])) == 1224
     assert len(calls["build_M"]) == 1202 and len(set(calls["build_M"])) == 516
     derived = len(calls["_r_layers"]), len(calls["_build_M"])
-    assert (derived, table.clears) == (((1597, 621), 2) if bounded else ((1224, 516), 0))
+    assert (derived, table.clears) == (((390, 112), 2) if bounded else ((312, 84), 0))
 
 
 _PROCESS_MEMOS = {"lru_cache", "cache"}

@@ -205,6 +205,20 @@ def test_step4_fails_when_tau_sends_atypicals_to_flow_0(uv):
     assert step4.witness[1] == wt(0)
 
 
+@pytest.mark.parametrize("uv", SAMPLE_LEVELS, ids=lambda uv: f"{uv[0]}-{uv[1]}")
+def test_step2_fails_when_restriction_swaps_its_e_minus_branches(uv):
+    # negative control on the derivation that the restriction memo moves
+    # along spectral-flow orbits: the shifts carry the wrong E-string to
+    # every flow, and every atypical count fails
+    lv = admissible_level(*uv)
+    with mutant("swapped_eminus_branches"):
+        report = run_pipeline(lv)
+    atypical = report.step2.atypical_multiplicity_checks
+    assert atypical and not any(c.passed for c in atypical)
+    assert not report.step2.passed and not report.verdict
+    assert len(lv.restriction_orbits) < len(lv.restrictions)  # answers were moved along orbits
+
+
 def test_expected_vacuum_factors_shapes():
     assert len(expected_vacuum_factors(admissible_level(3, 2))) == 2
     assert len(expected_vacuum_factors(admissible_level(2, 3))) == 3
