@@ -387,7 +387,9 @@ class AdmissibleLevel:
     # simple A-labels built, the Virasoro fusion channels computed, R's layers
     # and the M objects built, the restrictions computed, one of each of the
     # last three per spectral-flow orbit, and the class of F(A).  They die
-    # with the level, and a hit hashes only its key, never the level.
+    # with the level, and a hit hashes only its key, never the level.  All
+    # but the channels and F(A) are cleared together, by local_cat.simple_a
+    # alone, when the label table is full (see local_cat).
     @cached_property
     def a_labels(self) -> Dict[Tuple[int, ...], object]:
         """The simple A-label built at this level for each canonical integer
@@ -426,7 +428,7 @@ class AdmissibleLevel:
     @cached_property
     def restrictions(self) -> Dict[Hashable, object]:
         """The restriction of each simple label restricted at this level so
-        far; ``functors.restrict_simple`` fills it and bounds its size."""
+        far; ``functors.restrict_simple`` fills it."""
         return {}
 
     @cached_property

@@ -9,23 +9,16 @@ and to the typical simple sigma^l(E_{2*lam-k, Delta_{r,s}}) otherwise.
 
 Restriction of simples is memoized in a table per level,
 ``AdmissibleLevel.restrictions``: one pipeline run restricts each simple
-several times, and the table dies with its level.  It holds at most
-RESTRICTIONS_PER_KAC_LABEL entries per Kac label, more than a pipeline run
-samples, and is cleared when full, so a hit needs no recency bookkeeping.
-The keys are simple A-labels, which local_cat.simple_a hands out from the
-level's label table, so a hit on a label built since that table was last
-cleared matches by identity and builds nothing.
-
-Restriction commutes with spectral flow, so a miss is derived once per
-orbit.  ``AdmissibleLevel.restriction_orbits`` keeps, under the integers
-(r, s, p, q, d) of y's Kac label and lam (``local_cat.orbit_key``), the
-flow and the restriction of the first label of the orbit derived, and a
-miss on any other label of the orbit moves that answer to its flow with
-``weight_cat.spectral_flow``.  The orbit table has the restriction table's
-bound and is cleared only when it fills itself, so a run derives each
-(r, s, lam) once however many flows it samples: at 13/8 a default run
-restricts 2,082 labels and a run over ``pipeline.MAX_FLOWS`` flows 36,840,
-and each derives the same 486.
+several times.  The keys are simple A-labels, which local_cat.simple_a hands
+out from the level's label table, so a hit on a label of that table matches
+by identity and builds nothing.  Restriction commutes with spectral flow, so
+a miss is derived once per orbit: ``AdmissibleLevel.restriction_orbits``
+keeps, under ``local_cat.orbit_key(y)``, the flow and the restriction of the
+first label of the orbit derived, and a miss on any other label of the orbit
+moves that answer to its flow with ``weight_cat.spectral_flow``.  Both tables
+live by the one size policy of the level's tables (see ``local_cat``): they
+are cleared with the label table and nowhere else.  At 13/8 a default run
+restricts 2,082 labels, derives 486, one per orbit, and clears nothing.
 
 Induction of simples keeps no memo of its own: it reads R's layers and the
 M objects from the level's tables (see ``local_cat``), so every memo dies
@@ -42,11 +35,6 @@ from . import local_cat as lc
 
 _HALF = Fraction(1, 2)
 
-# The restriction table and its orbit table each hold at most this many
-# entries per Kac label and are cleared when full: a default run at 13/8
-# restricts about 25 labels per Kac label, on about 6 orbits.
-RESTRICTIONS_PER_KAC_LABEL = 32
-
 
 def restrict_simple(level: AdmissibleLevel, y: lc.SimpleALabel) -> wc.CObject:
     """Restriction of a simple extended-algebra module to the weight category,
@@ -55,15 +43,10 @@ def restrict_simple(level: AdmissibleLevel, y: lc.SimpleALabel) -> wc.CObject:
     table = level.restrictions
     out = table.get(y)
     if out is None:
-        bound = RESTRICTIONS_PER_KAC_LABEL * (level.u - 1) * (level.v - 1)
-        if len(table) >= bound:
-            table.clear()
         key = lc.orbit_key(y)
         orbits = level.restriction_orbits
         stored = orbits.get(key)
         if stored is None:
-            if len(orbits) >= bound:
-                orbits.clear()
             out = _restrict_simple(level, y)
             orbits[key] = (y.flow, out)
         else:

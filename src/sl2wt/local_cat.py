@@ -22,15 +22,20 @@ already in it.  Every call still checks the Kac label and the flow, folds
 the Kac label and reduces lam; only building the label is saved.  Equal
 labels of one level are then one object, so the dict lookups of
 Grothendieck sums and of the level's other tables match them by identity and
-skip the dataclass and Weight equality.  The table holds at most
-label_table_bound(level) labels, A_LABELS_PER_KAC_LABEL per Kac label
-but never fewer than A_LABELS_FLOOR = 1024, and is cleared when full.  The
-floor keeps one fusion product's labels in the table at the small levels:
-an 8-label product at 5/3 builds up to about 380 labels, more than the 256
-that 32 per Kac label allow there, and after a clear in the middle of a
-product its labels are built again as new objects.  Levels with fewer than 32 Kac labels,
-5/3 and 7/4 among them, take the floor; 11/6, 13/8 and every larger level
-keep the Kac-scaled bound.
+skip the dataclass and Weight equality.
+
+One size policy holds for every table of labels, and of what is built from
+them, that a level keeps: the label table holds at most
+label_table_bound(level) labels, A_LABELS_PER_KAC_LABEL = 64 per Kac label
+but never fewer than A_LABELS_FLOOR = 1024, and when it is full simple_a
+clears it together with the tables of R's layers, of M objects and of
+restrictions and their orbit tables; no other code empties them.  A default
+pipeline run builds at most 49 labels per Kac label at every level with
+u, v <= 12 (5,380 on the 110 Kac labels of 11/12), so it clears nothing.
+Levels with fewer than 16 Kac labels, 5/3 among them, take the floor, which
+keeps them from clearing every few fusion products: one 8-label product at
+5/3 builds up to about 380 labels, and 20 cycles of the benchmark's fusion
+mix clear the 5/3 table 16 times with the floor and 44 times at 512 labels.
 
 Each level also keeps the Virasoro channels of every ordered pair of Kac
 labels it has fused, ``AdmissibleLevel.channels``, keyed by (r, s, r', s')
@@ -43,18 +48,18 @@ folded typical twice, and step 3's squares share tops with step 2), so each
 level keeps R's layers under the top label, ``AdmissibleLevel.covers``, and
 each M[r,s]@flow under (r, s, flow) after build_M's checks,
 ``AdmissibleLevel.images``.  Both commute with spectral flow, and a run asks
-for them at every flow it samples, so between two clears of the label table
-each is derived once per orbit: a miss reads
-``AdmissibleLevel.cover_orbits``, under the integers (r, s, p, q, d) of the
-top, or ``AdmissibleLevel.image_orbits``, under (r, s), and moves the answer
-kept there to the flow asked for, building its labels through simple_a.
-A default run at 13/8 asks for R's layers 2,934 times on 1,224 tops in 312
-orbits, and for M 1,202 times on 516 keys in 84 orbits.  All
-four tables are cleared with the label table and keep an entry only if its
-top is still the table's instance once built, so they hold only the table's
-instances.  The cover table never holds more entries than the label table,
-the image table at most twice as many (M[r,v]@l and M[u-r,1]@(l+1) are one
-simple), and an orbit table no more than the table it serves.
+for them at every flow it samples, so between two clears each is derived
+once per orbit: a miss reads ``AdmissibleLevel.cover_orbits``, under the
+integers (r, s, p, q, d) of the top, or ``AdmissibleLevel.image_orbits``,
+under (r, s), and moves the answer kept there to the flow asked for,
+building its labels through simple_a.  A default run at 13/8 asks for R's
+layers 2,934 times on 1,224 tops and derives their 312 orbits, and for M
+1,202 times on 516 keys and derives their 84 orbits.  These four tables keep
+an entry only if its top is still the label table's instance once built, so
+they hold only the table's instances.  The cover table never holds more
+entries than the label table, the image table at most twice as many
+(M[r,v]@l and M[u-r,1]@(l+1) are one simple), and an orbit table no more
+than the table it serves.
 """
 
 from __future__ import annotations
@@ -122,11 +127,9 @@ class SimpleALabel(HashedOnce):
 _set_r, _set_s, _set_flow, _set_lam = slot_setters(SimpleALabel)
 
 
-# The level's label table holds at most this many labels per Kac label, but
-# never fewer than A_LABELS_FLOOR, and is cleared when full (see the module
-# docstring).  The floor is nearly three times the up to 380 labels that one
-# 8-label product at 5/3 builds, so no clear splits such a product.
-A_LABELS_PER_KAC_LABEL = 32
+# The size policy of every table a level keeps (see the module docstring):
+# this many labels per Kac label, but never fewer than A_LABELS_FLOOR.
+A_LABELS_PER_KAC_LABEL = 64
 A_LABELS_FLOOR = 1024
 
 
@@ -156,6 +159,8 @@ def simple_a(level: AdmissibleLevel, r: int, s: int, flow: int, lam) -> SimpleAL
             level.images.clear()
             level.cover_orbits.clear()
             level.image_orbits.clear()
+            level.restrictions.clear()
+            level.restriction_orbits.clear()
         out = table[key] = SimpleALabel(r, s, flow, lam)
     return out
 

@@ -136,6 +136,20 @@ def _swapped_eminus_branches(real):
     return swapped_eminus_branches
 
 
+def _restriction_2lam_plus_k(real):
+    """The real derivation ``functors._restrict_simple`` with its typical
+    branch restricting to sigma^l(E_{2*lam+k, Delta_{r,s}}) instead of
+    sigma^l(E_{2*lam-k, Delta_{r,s}}); atypical labels restrict as before."""
+
+    def restriction_2lam_plus_k(level, y):
+        out = real(level, y)
+        if out.tag != "simple":  # an E- string: one of the atypical branches
+            return out
+        return wc.simple(wc.typical(level, y.r, y.s, y.lam.affine(2, level.k), y.flow + 1))
+
+    return restriction_2lam_plus_k
+
+
 def _restriction_off_at_flow_1(real):
     """The real derivation ``functors._restrict_simple`` one flow too high on
     labels at Pi-flow 1 and right at every other flow.  Each flow on its own
@@ -156,6 +170,7 @@ MUTANTS = {
     "cover_drops_a_middle_label": (fu, "_cover_layers", _drops_a_middle_label),
     "atypical_tau_flow_0": (fn, "tau", _atypical_tau_flow_0),
     "swapped_eminus_branches": (fn, "_restrict_simple", _swapped_eminus_branches),
+    "restriction_2lam_plus_k": (fn, "_restrict_simple", _restriction_2lam_plus_k),
     "restriction_off_at_flow_1": (fn, "_restrict_simple", _restriction_off_at_flow_1),
 }
 

@@ -544,3 +544,13 @@ def test_projection_formula_fails_a_socle_of_M_one_flow_up(uv):
         assert failures == [[], []]
     else:
         assert all(failures)
+
+
+@pytest.mark.parametrize("uv", SAMPLE_LEVELS, ids=lambda uv: f"{uv[0]}-{uv[1]}")
+def test_projection_formula_fails_a_restriction_to_2lam_plus_k(uv):
+    # the formula fails this mutant at every level, 22 of 36 samples at 3/2;
+    # the verdict passes it at 3/2, 5/2 and 7/2 and raises NotSimple at
+    # v >= 3, where some sample restricts to a reducible E (ROADMAP items 11
+    # and 14)
+    with mutant("restriction_2lam_plus_k"):
+        assert _projection_failures(admissible_level(*uv))

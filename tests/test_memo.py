@@ -1,18 +1,19 @@
 """The memos of the hot path are transparent.
 
 ``local_cat.simple_a`` hands out each simple A-label from a table per level,
-and ``functors.restrict_simple`` memoizes into another; both are bounded by
-the level's Kac table and cleared when full, the label table with a floor of
-1024 labels, so that no clear splits one large fusion product.
+and ``functors.restrict_simple`` memoizes into another.
 ``local_cat.vir_fuse`` keeps the Virasoro channels of each ordered pair of
 Kac labels in a third table per level, which the Kac table bounds.
 ``local_cat.r_layers`` keeps R's layers under the top label and
 ``local_cat.build_M`` each M object under (r, s, flow), in two more tables
-per level that are cleared with the label table and hold only its instances.
+per level that hold only the label table's instances.
 Restriction, R's layers and M are derived once per spectral-flow orbit: on a
 miss each reads an orbit table, keyed by (r, s, lam) or by (r, s), and moves
-the stored answer to the flow asked for.  The restriction's orbit table has
-the restriction table's bound, the other two clear with the label table.
+the stored answer to the flow asked for.  One size policy holds for all of
+them but the channel table: the label table is bounded by the level's Kac
+table, with a floor of 1024 labels, and when full simple_a clears it with
+the restriction, cover and image tables and their orbit tables; no default
+pipeline run fills it.
 ``fusion`` keeps the class of F(A) in the level's memo.  Every memo lives
 on its level; ``functors.induce_simple`` keeps none of its own.  A memo
 must give the underived answer on a miss, on an orbit hit and on a hit,
@@ -168,18 +169,26 @@ def test_a_run_past_the_bound_keeps_the_table_bounded(monkeypatch):
     flows = range(-40, 40)
     unbounded = admissible_level(5, 3)
     with monkeypatch.context() as m:
-        m.setattr(fn, "RESTRICTIONS_PER_KAC_LABEL", 10**9)
+        m.setattr(lc, "label_table_bound", lambda level: 10**9)
         expected = run_pipeline(unbounded, flows).to_json()
-    bound = fn.RESTRICTIONS_PER_KAC_LABEL * 4 * 2
-    assert len(unbounded.restrictions) == 2256 > bound  # this run would fill the table
     lv = admissible_level(5, 3)
-    table = lv.__dict__["restrictions"] = _RecordingTable()
-    derived = _count_misses(monkeypatch, lv)
+    bound = lc.label_table_bound(lv)
+    assert len(unbounded.a_labels) == 3864 > bound  # this run would fill the table
+    assert len(unbounded.restrictions) == 2256 and len(unbounded.restriction_orbits) == 36
+    labels = lv.__dict__["a_labels"] = _WatchedTable(lv)
+    tables = [_RecordingTable(), _RecordingTable()]
+    lv.__dict__["restrictions"], lv.__dict__["restriction_orbits"] = tables
+    derived = []
+    real = fn._restrict_simple
+    monkeypatch.setattr(
+        fn, "_restrict_simple", lambda level, y: derived.append((labels.clears, _orbit(y))) or real(level, y)
+    )
     assert run_pipeline(lv, flows).to_json() == expected
-    assert table.largest == bound and len(lv.restrictions) <= bound
-    assert table.clears == 24  # the table was cleared on the way
-    # the orbits fit in the bound, so none is derived twice across the clears
-    assert len(derived) == len(lv.restriction_orbits) == len(unbounded.restriction_orbits) == 36
+    # the restriction tables clear when the label table does, and only then
+    assert labels.clears == tables[0].clears == tables[1].clears == 10
+    assert tables[0].largest == bound and len(lv.restrictions) <= bound
+    # each orbit is derived once between two clears
+    assert len(derived) == len(set(derived)) == 106
 
 
 def test_vacuum_class_survives_a_pipeline_run():
@@ -312,30 +321,30 @@ def test_a_run_past_the_label_bound_keeps_the_table_bounded(monkeypatch):
 
 
 def test_the_label_bound_has_a_floor(monkeypatch):
-    # 32 per Kac label, but never fewer than 1024 labels: of the levels the
-    # benchmark fuses at, 5/3 and 7/4 take the floor; both constants are read
-    # at call time, so a test may patch either
+    # 64 per Kac label, but never fewer than 1024 labels: of the levels the
+    # benchmark fuses at, 5/3 takes the floor; both constants are read at
+    # call time, so a test may patch either
     bounds = {uv: lc.label_table_bound(admissible_level(*uv)) for uv in ((5, 3), (7, 4), (11, 6), (13, 8))}
-    assert bounds == {(5, 3): 1024, (7, 4): 1024, (11, 6): 1600, (13, 8): 2688}
+    assert bounds == {(5, 3): 1024, (7, 4): 1152, (11, 6): 3200, (13, 8): 5376}
     lv = admissible_level(5, 3)
     monkeypatch.setattr(lc, "A_LABELS_FLOOR", 0)
-    assert lc.label_table_bound(lv) == 256
+    assert lc.label_table_bound(lv) == 512
     monkeypatch.setattr(lc, "A_LABELS_PER_KAC_LABEL", 10**9)
     assert lc.label_table_bound(lv) == 8 * 10**9
 
 
 def test_one_large_product_keeps_its_labels_in_the_table():
-    # one 8-label product at 5/3 builds more labels than 32 per Kac label
-    # allow there; the floor keeps them all, so no clear splits the product
-    # and every label of the result's induced class is the table's instance;
+    # one 8-label product at 5/3 builds 373 labels; the table keeps them all,
+    # so no clear splits the product and every label of the result's
+    # induced class is the table's instance;
     # the same product on a second, equal level gets that level's own
     # instances, since no induced object outlives its level
     lv = admissible_level(5, 3)
     table = lv.__dict__["a_labels"] = _RecordingTable()
-    r = rng(4)  # a product that builds 373 labels
+    r = rng(4)
     x, y = (wc.GrothC.of(*(random_label(lv, r) for _ in range(8))) for _ in range(2))
     got = fu.groth_fuse_C(lv, x, y)
-    assert table.clears == 0 and table.largest > lc.A_LABELS_PER_KAC_LABEL * 4 * 2
+    assert table.clears == 0 and table.largest == 373
     assert all(table[_key(z)] is z for z in fn.groth_F(lv, got).support())
     second = admissible_level(5, 3)
     r = rng(4)
@@ -571,6 +580,7 @@ class _WatchedTable(_RecordingTable):
         if not self:
             assert not self.level.covers and not self.level.images
             assert not self.level.cover_orbits and not self.level.image_orbits
+            assert not self.level.restrictions and not self.level.restriction_orbits
         super().__setitem__(key, value)
 
     def clear(self):
@@ -615,7 +625,7 @@ def test_a_13_8_run_derives_each_cover_and_image_once_between_clears(monkeypatch
     # a run asks for R's layers 2,934 times on 1,224 tops in 312 orbits under
     # spectral flow and for M 1,202 times on 516 keys in 84 orbits; each
     # orbit is derived once between two clears of the label table, which a
-    # 13/8 run clears twice
+    # 13/8 run never clears
     if not bounded:
         monkeypatch.setattr(lc, "A_LABELS_PER_KAC_LABEL", 10**9)
     lv = admissible_level(13, 8)
@@ -632,7 +642,7 @@ def test_a_13_8_run_derives_each_cover_and_image_once_between_clears(monkeypatch
     assert len(calls["r_layers"]) == 2934 and len(set(calls["r_layers"])) == 1224
     assert len(calls["build_M"]) == 1202 and len(set(calls["build_M"])) == 516
     derived = len(calls["_r_layers"]), len(calls["_build_M"])
-    assert (derived, table.clears) == (((390, 112), 2) if bounded else ((312, 84), 0))
+    assert (derived, table.clears) == ((312, 84), 0)
 
 
 _PROCESS_MEMOS = {"lru_cache", "cache"}
